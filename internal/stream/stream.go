@@ -529,12 +529,15 @@ func (g *Graph) routeWork(b *batch) {
 		return
 	}
 	b.plan, b.reused = plan, reused
-	for _, t := range plan.Transfers {
-		if b.dirty[chunkID{t.Ref.Array, t.Ref.Key}] {
-			b.defers = append(b.defers, claim{ref: t.Ref, node: t.To})
+	b.claims = claimsFor(b.ctx, plan)
+	// Every dirty chunk a join reads waits for the commit fence — also one
+	// that needs no ship because it is homed at its join site today: the
+	// predecessor's commit may rehome it, leaving the site a stale copy.
+	for _, c := range b.claims {
+		if b.dirty[chunkID{c.ref.Array, c.ref.Key}] {
+			b.defers = append(b.defers, c)
 		}
 	}
-	b.claims = claimsFor(b.ctx, plan)
 	g.claims.acquire(b.claims)
 	b.staged, err = maintain.BeginStaged(b.ctx, plan)
 	if err != nil {
