@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -187,6 +187,18 @@ func (c *Catalog) Home(name string, key array.ChunkKey) (int, bool) {
 	}
 	node, ok := m.Home[key]
 	return node, ok
+}
+
+// ReadArray calls fn with the named array's entry under the catalog's read
+// lock, so a caller resolving many chunks pays one lock, not one per lookup.
+// fn must neither keep nor mutate m, nor call back into the catalog. It is
+// not called when the array is not registered.
+func (c *Catalog) ReadArray(name string, fn func(m *ArrayMeta)) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if m, ok := c.arrays[name]; ok {
+		fn(m)
+	}
 }
 
 // ChunkSize returns the cached byte size of a chunk (0 if unknown).
@@ -560,7 +572,7 @@ func (c *Catalog) Keys(name string) []array.ChunkKey {
 	for k := range m.Home {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -624,9 +636,13 @@ type HashPlacement struct{}
 
 // Place implements Placement.
 func (HashPlacement) Place(key array.ChunkKey, numNodes int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(numNodes))
+	// FNV-1a (hash/fnv's New32a) inlined over the string: the planners
+	// place every new chunk, and a hasher plus a []byte copy per call adds up.
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % uint32(numNodes))
 }
 
 // RangePlacement is the space-partitioning assignment common in array

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"github.com/arrayview/arrayview/internal/array"
@@ -141,5 +142,23 @@ func TestRangePlacementBands(t *testing.T) {
 	}
 	if n := (RangePlacement{Dim: 0, NumChunks: 10}).Place(array.ChunkCoord{-5}.Key(), 4); n != 0 {
 		t.Errorf("negative chunk index must clamp to node 0, got %d", n)
+	}
+}
+
+// TestHashPlacementIsFNV1a: the inlined hash must place every key where
+// hash/fnv's New32a did, or every hash-placed layout would silently move.
+func TestHashPlacementIsFNV1a(t *testing.T) {
+	keys := []array.ChunkKey{"", "a", array.ChunkCoord{0, 0}.Key(), array.ChunkCoord{3, -7, 1 << 40}.Key()}
+	for i := int64(0); i < 200; i++ {
+		keys = append(keys, array.ChunkCoord{i, i * i % 17}.Key())
+	}
+	for _, k := range keys {
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(k))
+		for _, n := range []int{1, 3, 8, 16, 1000} {
+			if got, want := (HashPlacement{}).Place(k, n), int(h.Sum32()%uint32(n)); got != want {
+				t.Fatalf("Place(%q, %d) = %d, want %d", string(k), n, got, want)
+			}
+		}
 	}
 }

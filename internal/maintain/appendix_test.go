@@ -60,9 +60,10 @@ func TestAppendixB1DifferentialChoice(t *testing.T) {
 
 	ledger := cl.NewLedger()
 	ledger.Apply([]float64{0, 4, 4}, []float64{4, 2, 0})
-	holders := newHolderTracker(ctx, nil)
+	ix := ctx.index()
+	ix.resetHolders()
 
-	dest := chooseJoinSite(ctx, ledger, holders, unit, model)
+	dest := ix.chooseJoinSite(ctx, ledger, 0)
 	if dest != nodeY {
 		t.Fatalf("join assigned to node %d, want Y (%d)", dest, nodeY)
 	}
@@ -71,13 +72,16 @@ func TestAppendixB1DifferentialChoice(t *testing.T) {
 	for j, want := range wantOptNow {
 		extraNtwk := make([]float64, 3)
 		extraCPU := make([]float64, 3)
-		addJoinCharges(ctx, holders, unit, j, model, extraNtwk, extraCPU)
+		ix.addJoinCharges(ctx, 0, j, extraNtwk, extraCPU)
 		if got := ledger.CostWith(extraNtwk, extraCPU); got != want {
 			t.Errorf("opt_now for node %d = %v, want %v", j, got, want)
 		}
 	}
 	// Committing updates the ledger exactly as the figure's bottom row.
-	commitJoinSite(ctx, ledger, holders, unit, dest, model)
+	extraNtwk := make([]float64, 3)
+	extraCPU := make([]float64, 3)
+	ix.addJoinCharges(ctx, 0, dest, extraNtwk, extraCPU)
+	ledger.Apply(extraNtwk, extraCPU)
 	if ledger.Ntwk(nodeX) != 4 || ledger.CPU(nodeY) != 4 {
 		t.Errorf("after commit: ntwk[X]=%v cpu[Y]=%v, want 4 and 4",
 			ledger.Ntwk(nodeX), ledger.CPU(nodeY))
@@ -106,7 +110,8 @@ func TestAppendixB2ViewChunkChoice(t *testing.T) {
 			t.Errorf("opt_now for V1 at node %d = %v, want %v", j, got, want)
 		}
 	}
-	if dest := chooseViewHome(ledger, model, contribs, -1); dest != nodeY {
+	ix := &planIndex{nodes: 3, extraNtwk: make([]float64, 3), extraCPU: make([]float64, 3)}
+	if dest := ix.chooseViewHome(ledger, model, contribs, -1); dest != nodeY {
 		t.Errorf("V1 assigned to node %d, want Y (%d)", dest, nodeY)
 	}
 }

@@ -1,9 +1,6 @@
 package maintain
 
-import (
-	"github.com/arrayview/arrayview/internal/cluster"
-	"github.com/arrayview/arrayview/internal/view"
-)
+import "github.com/arrayview/arrayview/internal/cluster"
 
 // Baseline is the parallel relational view maintenance procedure of Luo et
 // al. adapted to arrays and batch updates (Section 4.1):
@@ -24,126 +21,52 @@ func (Baseline) Name() string { return "baseline" }
 
 // Plan implements Planner.
 func (Baseline) Plan(ctx *Context) (*Plan, error) {
+	ix := ctx.index()
 	p := NewPlan("baseline", len(ctx.Units))
-	n := ctx.Cluster.NumNodes()
+	ix.resetHolders()
 
 	// Step 1: static placement of the new chunks. A delta chunk whose key
 	// already exists in the base array goes to that chunk's node — regular
 	// chunking is deterministic by coordinate — and needs no rehome entry.
-	placed := make(map[view.ChunkRef]int)
-	for _, r := range ctx.DeltaRefs() {
-		if !ctx.IsDelta(r) {
+	// From there on the chunk ships from (and is held at) its placed node.
+	for id, r := range ix.refs {
+		if !ix.isDelta[id] {
 			continue
 		}
-		baseName := ctx.BaseNameFor(r.Array)
-		node, exists := ctx.Cluster.Catalog().Home(baseName, r.Key)
-		if !exists {
-			node = ctx.ArrayPlacement.Place(r.Key, n)
+		node := int(ix.baseHome[id])
+		if node == absent {
+			node = ctx.ArrayPlacement.Place(r.Key, ix.nodes)
 			p.ArrayRehome[r] = node
 		}
-		placed[r] = node
+		ix.from[id] = int32(node)
+		ix.hold(int32(id), node)
 		p.Transfers = append(p.Transfers, Transfer{Ref: r, From: cluster.Coordinator, To: node})
-	}
-	homeOf := func(r view.ChunkRef) int {
-		if node, ok := placed[r]; ok {
-			return node
-		}
-		return ctx.HomeOf(r)
 	}
 
 	// Step 2: join each pair at the node holding the base (β-side for
 	// delta×base pairs) chunk; ship the delta there.
-	holders := newHolderTracker(ctx, placed)
-	for i, u := range ctx.Units {
-		var site int
-		switch {
-		case ctx.IsDelta(u.P) && !ctx.IsDelta(u.Q):
-			site = homeOf(u.Q)
-		case !ctx.IsDelta(u.P) && ctx.IsDelta(u.Q):
-			site = homeOf(u.P)
-		default: // delta×delta: the β-side's assigned node, as in the
-			// paper's 7⋈8-on-Y example.
-			site = homeOf(u.Q)
+	for i := range ctx.Units {
+		pi, qi := ix.unitP[i], ix.unitQ[i]
+		// delta×delta joins at the β-side's assigned node, as in the
+		// paper's 7⋈8-on-Y example.
+		site := int(ix.from[qi])
+		if !ix.isDelta[pi] && ix.isDelta[qi] {
+			site = int(ix.from[pi])
 		}
 		p.JoinSite[i] = site
-		p.Transfers = append(p.Transfers, holders.ensure(u.P, site)...)
-		p.Transfers = append(p.Transfers, holders.ensure(u.Q, site)...)
+		p.Transfers = ix.ensure(p.Transfers, pi, site)
+		p.Transfers = ix.ensure(p.Transfers, qi, site)
 	}
 
 	// Step 3: view chunks stay at (or are statically assigned) their homes.
-	assignStaticViewHomes(ctx, p)
+	assignStaticViewHomes(ix, p)
 	return p, nil
 }
 
 // assignStaticViewHomes fills ViewHome with current homes for existing view
-// chunks and placement-assigned homes for new ones.
-func assignStaticViewHomes(ctx *Context, p *Plan) {
-	n := ctx.Cluster.NumNodes()
-	for _, u := range ctx.Units {
-		for _, v := range u.Views {
-			if _, done := p.ViewHome[v]; done {
-				continue
-			}
-			if home, ok := ctx.ViewHomeOf(v); ok {
-				p.ViewHome[v] = home
-			} else {
-				p.ViewHome[v] = ctx.ViewPlacement.Place(v, n)
-			}
-		}
+// chunks and placement-assigned homes for new ones: the y = S hints.
+func assignStaticViewHomes(ix *planIndex, p *Plan) {
+	for id, v := range ix.views {
+		p.ViewHome[v] = int(ix.viewHint[id])
 	}
-}
-
-// holderTracker tracks which nodes hold each chunk as a plan is built, so
-// planners emit each required transfer exactly once.
-type holderTracker struct {
-	ctx     *Context
-	origin  map[view.ChunkRef]int
-	holders map[view.ChunkRef]map[int]bool
-}
-
-// newHolderTracker seeds each chunk at its catalog home, overridden by the
-// placed map (baseline's static assignment of new chunks).
-func newHolderTracker(ctx *Context, placed map[view.ChunkRef]int) *holderTracker {
-	t := &holderTracker{
-		ctx:     ctx,
-		origin:  make(map[view.ChunkRef]int),
-		holders: make(map[view.ChunkRef]map[int]bool),
-	}
-	for r, node := range placed {
-		t.origin[r] = node
-	}
-	return t
-}
-
-func (t *holderTracker) originOf(r view.ChunkRef) int {
-	if node, ok := t.origin[r]; ok {
-		return node
-	}
-	node := t.ctx.HomeOf(r)
-	t.origin[r] = node
-	return node
-}
-
-func (t *holderTracker) set(r view.ChunkRef) map[int]bool {
-	s, ok := t.holders[r]
-	if !ok {
-		s = map[int]bool{t.originOf(r): true}
-		t.holders[r] = s
-	}
-	return s
-}
-
-// has reports whether node already holds r.
-func (t *holderTracker) has(r view.ChunkRef, node int) bool { return t.set(r)[node] }
-
-// ensure returns the transfers (possibly none) needed to make r resident at
-// node, shipping from the chunk's origin as in the x_{i,S_i,j} variables,
-// and records the new replica.
-func (t *holderTracker) ensure(r view.ChunkRef, node int) []Transfer {
-	s := t.set(r)
-	if s[node] {
-		return nil
-	}
-	s[node] = true
-	return []Transfer{{Ref: r, From: t.originOf(r), To: node}}
 }

@@ -68,6 +68,7 @@ func BenchmarkPlanReassign(b *testing.B)     { benchPlanner(b, Reassign{}) }
 
 func benchPlanner(b *testing.B, p Planner) {
 	ctx := benchContext(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan, err := p.Plan(ctx)
@@ -87,6 +88,7 @@ func BenchmarkPlanCharge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if plan.Charge(ctx).Cost() <= 0 {

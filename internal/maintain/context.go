@@ -82,7 +82,7 @@ type Context struct {
 	// that already retired. Rollback barriers never retire regardless.
 	RetireOnCommit bool
 
-	viewHints map[array.ChunkKey]int
+	ix *planIndex
 }
 
 // StagingName returns the batch's shadow staging namespace. The "#" infix
@@ -152,39 +152,22 @@ func (c *Context) ViewHomeOf(key array.ChunkKey) (int, bool) {
 // ViewHomeHint resolves the y = S view home used by stage one of the
 // heuristic (the paper fixes the chunk assignment to S when solving for z
 // and x): the catalog home for existing view chunks, the static placement
-// for new ones. Hints are cached per context.
+// for new ones — the planning index's column for the batch's view chunks.
 func (c *Context) ViewHomeHint(key array.ChunkKey) int {
-	if h, ok := c.viewHints[key]; ok {
+	ix := c.index()
+	if id, ok := ix.viewID[key]; ok {
+		return int(ix.viewHint[id])
+	}
+	if h, ok := c.ViewHomeOf(key); ok {
 		return h
 	}
-	h, ok := c.ViewHomeOf(key)
-	if !ok {
-		h = c.ViewPlacement.Place(key, c.Cluster.NumNodes())
-	}
-	if c.viewHints == nil {
-		c.viewHints = make(map[array.ChunkKey]int)
-	}
-	c.viewHints[key] = h
-	return h
+	return c.ViewPlacement.Place(key, c.Cluster.NumNodes())
 }
 
 // DeltaRefs returns the distinct array-side chunk refs of the batch (the
-// "a" chunks of Algorithm 3): every chunk participating in some unit.
-func (c *Context) DeltaRefs() []view.ChunkRef {
-	seen := make(map[view.ChunkRef]bool)
-	var out []view.ChunkRef
-	add := func(r view.ChunkRef) {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	for _, u := range c.Units {
-		add(u.P)
-		add(u.Q)
-	}
-	return out
-}
+// "a" chunks of Algorithm 3): every chunk participating in some unit. The
+// slice is shared; callers must not modify it.
+func (c *Context) DeltaRefs() []view.ChunkRef { return c.index().refs }
 
 // IsDelta reports whether the ref belongs to a staged delta namespace.
 func (c *Context) IsDelta(r view.ChunkRef) bool {

@@ -1,13 +1,13 @@
 package maintain
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/arrayview/arrayview/internal/cluster"
-	"github.com/arrayview/arrayview/internal/view"
 )
 
 // Differential implements stage one of the heuristic — Algorithm 1,
@@ -26,19 +26,16 @@ func (Differential) Name() string { return "differential" }
 
 // Plan implements Planner.
 func (Differential) Plan(ctx *Context) (*Plan, error) {
-	p, _, _ := planDifferential(ctx)
+	p := planDifferential(ctx)
 	// Static view homes and placement-assigned homes for new array chunks,
 	// as in the baseline.
-	assignStaticViewHomes(ctx, p)
-	n := ctx.Cluster.NumNodes()
-	for _, r := range ctx.DeltaRefs() {
-		if !ctx.IsDelta(r) {
-			continue
-		}
+	ix := ctx.index()
+	assignStaticViewHomes(ix, p)
+	for id, r := range ix.refs {
 		// Colliding chunks merge into their base incarnation; only brand-new
 		// chunks need a static placement.
-		if _, exists := ctx.Cluster.Catalog().Home(ctx.BaseNameFor(r.Array), r.Key); !exists {
-			p.ArrayRehome[r] = ctx.ArrayPlacement.Place(r.Key, n)
+		if ix.isDelta[id] && ix.baseHome[id] == absent {
+			p.ArrayRehome[r] = ctx.ArrayPlacement.Place(r.Key, ix.nodes)
 		}
 	}
 	// Merging at static homes adds the shipping/merge state Algorithm 1
@@ -47,13 +44,13 @@ func (Differential) Plan(ctx *Context) (*Plan, error) {
 }
 
 // planDifferential runs Algorithm 1 and returns the partially-filled plan
-// (transfers and join sites), the running ledger state, and the holder
-// tracker — stage two continues from both.
-func planDifferential(ctx *Context) (*Plan, *cluster.Ledger, *holderTracker) {
+// (transfers and join sites); the index keeps who holds what, which stage
+// three continues from.
+func planDifferential(ctx *Context) *Plan {
+	ix := ctx.index()
 	p := NewPlan("differential", len(ctx.Units))
-	model := ctx.Model
-	ledger := cluster.NewLedger(ctx.Cluster.NumNodes(), ctx.Model)
-	holders := newHolderTracker(ctx, nil)
+	ledger := cluster.NewLedger(ix.nodes, ctx.Model)
+	ix.resetHolders()
 
 	// Line 2: iterate the chunk join pairs in random order (or, for the
 	// ablation, largest pair first).
@@ -62,25 +59,24 @@ func planDifferential(ctx *Context) (*Plan, *cluster.Ledger, *holderTracker) {
 		order[i] = i
 	}
 	if ctx.Params.SortedPairOrder {
-		sort.SliceStable(order, func(a, b int) bool {
-			return ctx.PairBytes(ctx.Units[order[a]]) > ctx.PairBytes(ctx.Units[order[b]])
-		})
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ix.pairBytes[b], ix.pairBytes[a]) })
 	} else {
 		ctx.Rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 	}
 
 	for _, i := range order {
-		u := ctx.Units[i]
-		dest := chooseJoinSite(ctx, ledger, holders, u, model)
-		commitJoinSite(ctx, ledger, holders, u, dest, model)
-		p.Transfers = append(p.Transfers, holders.ensure(u.P, dest)...)
-		p.Transfers = append(p.Transfers, holders.ensure(u.Q, dest)...)
+		dest := ix.chooseJoinSite(ctx, ledger, i)
+		// Algorithm 1 lines 11-12: apply the chosen site's charges.
+		ix.addJoinCharges(ctx, i, dest, clearFloats(ix.extraNtwk), clearFloats(ix.extraCPU))
+		ledger.Apply(ix.extraNtwk, ix.extraCPU)
+		p.Transfers = ix.ensure(p.Transfers, ix.unitP[i], dest)
+		p.Transfers = ix.ensure(p.Transfers, ix.unitQ[i], dest)
 		p.JoinSite[i] = dest
 	}
-	return p, ledger, holders
+	return p
 }
 
-// chooseJoinSite evaluates every node as the join site for unit u against
+// chooseJoinSite evaluates every node as the join site for unit i against
 // the running ledger (Algorithm 1 lines 3-10) and returns the minimizer.
 // Per Section 4.3, stage one solves the first line of Eq. 1 for z and x
 // with the chunk assignment y fixed as S — so a candidate is charged
@@ -88,27 +84,21 @@ func planDifferential(ctx *Context) (*Plan, *cluster.Ledger, *holderTracker) {
 // z_pqk·y_vj·B_pq·Tntwk toward the current (or statically-placed) homes of
 // the affected view chunks. (The paper's Figure 7 walk-through shows only
 // the first two terms because its example tracks no view chunks.)
-func chooseJoinSite(ctx *Context, ledger *cluster.Ledger, holders *holderTracker, u view.Unit, model cluster.CostModel) int {
-	n := ledger.NumNodes()
+func (ix *planIndex) chooseJoinSite(ctx *Context, ledger *cluster.Ledger, i int) int {
+	n := ix.nodes
 	if ctx.Params.ParallelCandidates && n >= parallelCandidateThreshold {
-		return chooseJoinSiteParallel(ctx, ledger, holders, u, model)
+		return ix.chooseJoinSiteParallel(ctx, ledger, i)
 	}
-	extraNtwk := make([]float64, n)
-	extraCPU := make([]float64, n)
 	bestCost, bestLoad := 0.0, 0.0
 	dest := -1
 	for j := 0; j < n; j++ {
-		for k := 0; k < n; k++ {
-			extraNtwk[k] = 0
-			extraCPU[k] = 0
-		}
-		addJoinCharges(ctx, holders, u, j, model, extraNtwk, extraCPU)
-		optNow := ledger.CostWith(extraNtwk, extraCPU)
+		ix.addJoinCharges(ctx, i, j, clearFloats(ix.extraNtwk), clearFloats(ix.extraCPU))
+		optNow := ledger.CostWith(ix.extraNtwk, ix.extraCPU)
 		// The max objective is flat: many candidates leave the global max
 		// untouched. Ties are broken by the smallest total added load, so
 		// transfer- and shipping-free co-located sites win and placements
 		// stay stable across correlated batches.
-		load := sum(extraNtwk) + sum(extraCPU)
+		load := sum(ix.extraNtwk) + sum(ix.extraCPU)
 		if dest == -1 || optNow < bestCost || (optNow == bestCost && load < bestLoad) {
 			bestCost = optNow
 			bestLoad = load
@@ -125,18 +115,11 @@ const parallelCandidateThreshold = 16
 
 // chooseJoinSiteParallel evaluates all candidate nodes concurrently and
 // reduces sequentially, preserving exactly the serial selection rule
-// (minimum (cost, load), lowest node on full ties).
-func chooseJoinSiteParallel(ctx *Context, ledger *cluster.Ledger, holders *holderTracker, u view.Unit, model cluster.CostModel) int {
-	n := ledger.NumNodes()
-	// Pre-warm every lazily-populated cache the candidate evaluation reads
-	// (holder sets, origins, view home hints) so the fan-out is read-only.
-	holders.originOf(u.P)
-	holders.originOf(u.Q)
-	holders.set(u.P)
-	holders.set(u.Q)
-	for _, v := range u.Views {
-		ctx.ViewHomeHint(v)
-	}
+// (minimum (cost, load), lowest node on full ties). Candidate evaluation
+// only reads the index, so the fan-out needs no warm-up; each worker brings
+// its own scratch vectors.
+func (ix *planIndex) chooseJoinSiteParallel(ctx *Context, ledger *cluster.Ledger, i int) int {
+	n := ix.nodes
 	costs := make([]float64, n)
 	loads := make([]float64, n)
 	var wg sync.WaitGroup
@@ -153,11 +136,7 @@ func chooseJoinSiteParallel(ctx *Context, ledger *cluster.Ledger, holders *holde
 				if j >= n {
 					return
 				}
-				for k := 0; k < n; k++ {
-					extraNtwk[k] = 0
-					extraCPU[k] = 0
-				}
-				addJoinCharges(ctx, holders, u, j, model, extraNtwk, extraCPU)
+				ix.addJoinCharges(ctx, i, j, clearFloats(extraNtwk), clearFloats(extraCPU))
 				costs[j] = ledger.CostWith(extraNtwk, extraCPU)
 				loads[j] = sum(extraNtwk) + sum(extraCPU)
 			}
@@ -195,56 +174,42 @@ func sum(v []float64) float64 {
 	return s
 }
 
-// commitJoinSite applies the chosen site's charges to the ledger
-// (Algorithm 1 lines 11-12).
-func commitJoinSite(ctx *Context, ledger *cluster.Ledger, holders *holderTracker, u view.Unit, dest int, model cluster.CostModel) {
-	n := ledger.NumNodes()
-	extraNtwk := make([]float64, n)
-	extraCPU := make([]float64, n)
-	addJoinCharges(ctx, holders, u, dest, model, extraNtwk, extraCPU)
-	ledger.Apply(extraNtwk, extraCPU)
+// clearFloats zeroes v and returns it.
+func clearFloats(v []float64) []float64 {
+	clear(v)
+	return v
 }
 
-// addJoinCharges accumulates the stage-one cost of joining u at node j:
-// co-location transfers, join CPU (Algorithm 1 lines 6-7), and merge
-// shipping toward the y = S view homes.
-func addJoinCharges(ctx *Context, holders *holderTracker, u view.Unit, j int, model cluster.CostModel, extraNtwk, extraCPU []float64) {
-	bpq := ctx.PairBytes(u)
-	chargeColocation(ctx, holders, u, j, model, extraNtwk)
-	extraCPU[j] += float64(bpq) * model.Tcpu
-	ship := float64(bpq) * ctx.ResultScale
-	for _, v := range u.Views {
-		h := ctx.ViewHomeHint(v)
-		if h != j {
+// addJoinCharges accumulates the stage-one cost of joining unit i at node
+// j: co-location transfers (Algorithm 1 line 6, extended to charge the
+// α-side chunk too — the paper's line 6 shows only q because its p is
+// always a coordinator-staged delta, which sends for free; charges
+// originate at each chunk's original location S, matching the x_{i,S_i,j}
+// variables), join CPU (line 7), and merge shipping toward the y = S view
+// homes.
+func (ix *planIndex) addJoinCharges(ctx *Context, i, j int, extraNtwk, extraCPU []float64) {
+	model := ctx.Model
+	for _, id := range [2]int32{ix.unitP[i], ix.unitQ[i]} {
+		if !ix.has(id, j) {
+			b := float64(ix.size[id]) * model.Tntwk
+			if src := ix.from[id]; src != cluster.Coordinator {
+				extraNtwk[src] += b
+			}
+			extraNtwk[j] += b * model.ReceiveFactor
+		}
+	}
+	bpq := float64(ix.pairBytes[i])
+	extraCPU[j] += bpq * model.Tcpu
+	ship := bpq * ctx.ResultScale
+	for _, v := range ix.viewsOf(i) {
+		h := ix.viewHint[v]
+		if int(h) != j {
 			extraNtwk[j] += ship * model.Tntwk
 			extraNtwk[h] += ship * model.Tntwk * model.ReceiveFactor
 		}
 		// Merge work lands at the y = S home; it is the same for every
 		// candidate j but keeps the running ledger aligned with the full
 		// objective.
-		extraCPU[h] += float64(bpq) * model.Tcpu
-	}
-}
-
-// chargeColocation accumulates into extraNtwk the transfer cost of making
-// both chunks of u resident at node j (Algorithm 1 line 6, extended to
-// charge the α-side chunk too — the paper's line 6 shows only q because its
-// p is always a coordinator-staged delta, which sends for free). Charges
-// originate at each chunk's original location S, matching the x_{i,S_i,j}
-// variables.
-func chargeColocation(ctx *Context, holders *holderTracker, u view.Unit, j int, model cluster.CostModel, extraNtwk []float64) {
-	if !holders.has(u.P, j) {
-		b := float64(ctx.SizeOf(u.P)) * model.Tntwk
-		if src := holders.originOf(u.P); src != cluster.Coordinator {
-			extraNtwk[src] += b
-		}
-		extraNtwk[j] += b * model.ReceiveFactor
-	}
-	if !holders.has(u.Q, j) {
-		b := float64(ctx.SizeOf(u.Q)) * model.Tntwk
-		if src := holders.originOf(u.Q); src != cluster.Coordinator {
-			extraNtwk[src] += b
-		}
-		extraNtwk[j] += b * model.ReceiveFactor
+		extraCPU[h] += bpq * model.Tcpu
 	}
 }

@@ -52,48 +52,53 @@ func NewPlan(strategy string, n int) *Plan {
 // are resident at the join site after the plan's transfers), and C1 (every
 // affected view chunk has exactly one home).
 func (p *Plan) Validate(ctx *Context) error {
-	n := ctx.Cluster.NumNodes()
+	ix := ctx.index()
+	n := ix.nodes
 	if len(p.JoinSite) != len(ctx.Units) {
 		return fmt.Errorf("maintain: plan covers %d units, want %d", len(p.JoinSite), len(ctx.Units))
 	}
-	// Residency sets: home plus planned transfers.
-	resident := make(map[view.ChunkRef]map[int]bool)
-	holderSet := func(r view.ChunkRef) map[int]bool {
-		s, ok := resident[r]
-		if !ok {
-			s = map[int]bool{ctx.HomeOf(r): true}
-			resident[r] = s
-		}
-		return s
+	// Residency: home plus planned transfers, one node bitset per chunk
+	// (private, so validation never disturbs a solve's holder state).
+	held := make([]uint64, len(ix.refs)*ix.words)
+	holds := func(id int32, node int) bool {
+		return node == int(ix.origin[id]) || (node >= 0 && held[int(id)*ix.words+node>>6]&(1<<(node&63)) != 0)
 	}
 	for _, t := range p.Transfers {
 		if t.To < 0 || t.To >= n {
 			return fmt.Errorf("maintain: transfer of %v to invalid node %d", t.Ref, t.To)
 		}
-		if !holderSet(t.Ref)[t.From] {
+		id, inBatch := ix.refID[t.Ref]
+		if !inBatch {
+			// No unit needs the chunk; it can only ship from its home.
+			if t.From != ctx.HomeOf(t.Ref) {
+				return fmt.Errorf("maintain: transfer of %v from node %d which does not hold it", t.Ref, t.From)
+			}
+			continue
+		}
+		if t.From >= n || !holds(id, t.From) {
 			return fmt.Errorf("maintain: transfer of %v from node %d which does not hold it", t.Ref, t.From)
 		}
-		holderSet(t.Ref)[t.To] = true
+		held[int(id)*ix.words+t.To>>6] |= 1 << (t.To & 63)
 	}
 	for i, u := range ctx.Units {
 		k := p.JoinSite[i]
 		if k < 0 || k >= n {
 			return fmt.Errorf("maintain: unit %d joined at invalid node %d (C3)", i, k)
 		}
-		if !holderSet(u.P)[k] {
+		if !holds(ix.unitP[i], k) {
 			return fmt.Errorf("maintain: unit %d chunk %v not resident at join node %d (C2)", i, u.P, k)
 		}
-		if !holderSet(u.Q)[k] {
+		if !holds(ix.unitQ[i], k) {
 			return fmt.Errorf("maintain: unit %d chunk %v not resident at join node %d (C2)", i, u.Q, k)
 		}
-		for _, v := range u.Views {
-			home, ok := p.ViewHome[v]
-			if !ok {
-				return fmt.Errorf("maintain: view chunk %v has no home (C1)", v)
-			}
-			if home < 0 || home >= n {
-				return fmt.Errorf("maintain: view chunk %v homed at invalid node %d (C1)", v, home)
-			}
+	}
+	for _, v := range ix.views {
+		home, ok := p.ViewHome[v]
+		if !ok {
+			return fmt.Errorf("maintain: view chunk %v has no home (C1)", v)
+		}
+		if home < 0 || home >= n {
+			return fmt.Errorf("maintain: view chunk %v homed at invalid node %d (C1)", v, home)
 		}
 	}
 	for r, j := range p.ArrayRehome {
@@ -120,17 +125,22 @@ func (p *Plan) Validate(ctx *Context) error {
 // incur additional time"). The same function prices every strategy, so
 // comparisons are apples-to-apples.
 func (p *Plan) Charge(ctx *Context) *cluster.Ledger {
-	l := cluster.NewLedger(ctx.Cluster.NumNodes(), ctx.Model)
+	ix := ctx.index()
+	l := cluster.NewLedger(ix.nodes, ctx.Model)
 	for _, t := range p.Transfers {
-		l.ChargeTransferTo(t.From, t.To, ctx.SizeOf(t.Ref))
+		l.ChargeTransferTo(t.From, t.To, ix.sizeOf(ctx, t.Ref))
 	}
-	for i, u := range ctx.Units {
-		k := p.JoinSite[i]
-		bpq := ctx.PairBytes(u)
+	// One ViewHome lookup per view chunk, not per triple.
+	home := make([]int, len(ix.views))
+	for id, v := range ix.views {
+		home[id] = p.ViewHome[v]
+	}
+	for i, k := range p.JoinSite {
+		bpq := ix.pairBytes[i]
 		l.ChargeJoin(k, bpq)
 		ship := int64(float64(bpq) * ctx.ResultScale)
-		for _, v := range u.Views {
-			j := p.ViewHome[v]
+		for _, v := range ix.viewsOf(i) {
+			j := home[v]
 			if j != k {
 				l.ChargeTransferTo(k, j, ship)
 			}

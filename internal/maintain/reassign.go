@@ -1,7 +1,8 @@
 package maintain
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/cluster"
@@ -19,22 +20,23 @@ func (Reassign) Name() string { return "reassign" }
 
 // Plan implements Planner.
 func (Reassign) Plan(ctx *Context) (*Plan, error) {
-	p, _, holders := planDifferential(ctx)
+	p := planDifferential(ctx)
 	p.Strategy = "reassign"
 	assignViewHomes(ctx, p)
-	assignArrayHomes(ctx, p, holders)
+	assignArrayHomes(ctx, p)
 	return p, nil
 }
 
 // ledgerFromXZ prices only the transfer (x) and join (z) variables of a
 // plan.
 func ledgerFromXZ(ctx *Context, p *Plan) *cluster.Ledger {
-	l := cluster.NewLedger(ctx.Cluster.NumNodes(), ctx.Model)
+	ix := ctx.index()
+	l := cluster.NewLedger(ix.nodes, ctx.Model)
 	for _, t := range p.Transfers {
-		l.ChargeTransferTo(t.From, t.To, ctx.SizeOf(t.Ref))
+		l.ChargeTransferTo(t.From, t.To, ix.sizeOf(ctx, t.Ref))
 	}
-	for i, u := range ctx.Units {
-		l.ChargeJoin(p.JoinSite[i], ctx.PairBytes(u))
+	for i, k := range p.JoinSite {
+		l.ChargeJoin(k, ix.pairBytes[i])
 	}
 	return l
 }
@@ -53,53 +55,48 @@ func ledgerFromXZ(ctx *Context, p *Plan) *cluster.Ledger {
 // from undoing stage one's coordination and makes placements stable across
 // repeated batches — which is what lets reassignment converge.
 func assignViewHomes(ctx *Context, p *Plan) {
+	ix := ctx.index()
 	model := ctx.Model
 
-	// Group the units affecting each view chunk; iterate view chunks in
-	// random order (line 2).
-	affected := make(map[array.ChunkKey][]int)
-	var viewKeys []array.ChunkKey
-	for i, u := range ctx.Units {
-		for _, v := range u.Views {
-			if _, seen := affected[v]; !seen {
-				viewKeys = append(viewKeys, v)
-			}
-			affected[v] = append(affected[v], i)
+	// Group the contributions reaching each view chunk, in unit order, over
+	// one arena: view v owns contribs[start[v]:start[v+1]].
+	start := make([]int32, len(ix.views)+1)
+	for _, v := range ix.unitViews {
+		start[v+1]++
+	}
+	for v := range ix.views {
+		start[v+1] += start[v]
+	}
+	contribs := make([]viewContrib, len(ix.unitViews))
+	fill := slices.Clone(start[:len(ix.views)])
+	for i, site := range p.JoinSite {
+		c := viewContrib{site: site, bytes: ix.pairBytes[i], ship: int64(float64(ix.pairBytes[i]) * ctx.ResultScale)}
+		for _, v := range ix.viewsOf(i) {
+			contribs[fill[v]] = c
+			fill[v]++
 		}
 	}
-	sort.Slice(viewKeys, func(a, b int) bool { return viewKeys[a] < viewKeys[b] })
-
-	contribsOf := make(map[array.ChunkKey][]viewContrib, len(viewKeys))
-	for _, v := range viewKeys {
-		var contribs []viewContrib
-		for _, i := range affected[v] {
-			contribs = append(contribs, viewContrib{
-				site:  p.JoinSite[i],
-				bytes: ctx.PairBytes(ctx.Units[i]),
-				ship:  int64(float64(ctx.PairBytes(ctx.Units[i])) * ctx.ResultScale),
-			})
-		}
-		contribsOf[v] = contribs
-	}
+	contribsOf := func(v int32) []viewContrib { return contribs[start[v]:start[v+1]] }
 
 	// Line 1: ledger from x, z, plus the complete merge charges of the
-	// y = S assignment stage one optimized against.
+	// y = S assignment stage one optimized against, in view-key order.
+	order := make([]int32, len(ix.views))
+	for v := range order {
+		order[v] = int32(v)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(ix.views[a], ix.views[b]) })
 	ledger := ledgerFromXZ(ctx, p)
-	home := make(map[array.ChunkKey]int, len(viewKeys))
-	for _, v := range viewKeys {
-		h := ctx.ViewHomeHint(v)
-		home[v] = h
-		applyViewCharges(ledger, model, contribsOf[v], h, +1)
+	for _, v := range order {
+		ix.applyViewCharges(ledger, model, contribsOf(v), int(ix.viewHint[v]), +1)
 	}
 
-	ctx.Rng.Shuffle(len(viewKeys), func(a, b int) { viewKeys[a], viewKeys[b] = viewKeys[b], viewKeys[a] })
-	for _, v := range viewKeys {
-		cur := home[v]
-		applyViewCharges(ledger, model, contribsOf[v], cur, -1)
-		dest := chooseViewHome(ledger, model, contribsOf[v], cur)
-		applyViewCharges(ledger, model, contribsOf[v], dest, +1)
-		home[v] = dest
-		p.ViewHome[v] = dest
+	// Line 2: iterate the view chunks in random order.
+	ctx.Rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+	for _, v := range order {
+		ix.applyViewCharges(ledger, model, contribsOf(v), int(ix.viewHint[v]), -1)
+		dest := ix.chooseViewHome(ledger, model, contribsOf(v), int(ix.viewHint[v]))
+		ix.applyViewCharges(ledger, model, contribsOf(v), dest, +1)
+		p.ViewHome[ix.views[v]] = dest
 	}
 }
 
@@ -112,57 +109,34 @@ type viewContrib struct {
 	ship  int64
 }
 
-// maxProducerSite returns the join site contributing the most bytes to a
-// view chunk (node 0 when there are no contributions).
-func maxProducerSite(contribs []viewContrib) int {
-	byteBySite := make(map[int]int64)
-	for _, c := range contribs {
-		byteBySite[c.site] += c.bytes
-	}
-	best, bestBytes := 0, int64(-1)
-	for s, b := range byteBySite {
-		if b > bestBytes || (b == bestBytes && s < best) {
-			best, bestBytes = s, b
-		}
-	}
-	return best
-}
-
 // chooseViewHome evaluates every node as the merge home of one view chunk
 // (Algorithm 2 lines 4-13): shipping each contribution from its join site
 // when they differ (line 8) and merge CPU at the candidate (line 9).
 // Relocating the chunk itself is free — reassignment piggybacks on the
-// maintenance communication. incumbent (>= 0) seeds the search: another
+// maintenance communication. incumbent (>= 0) is evaluated first: another
 // node wins only by strictly beating it on (objective, added load).
-func chooseViewHome(ledger *cluster.Ledger, model cluster.CostModel, contribs []viewContrib, incumbent int) int {
-	n := ledger.NumNodes()
-	extraNtwk := make([]float64, n)
-	extraCPU := make([]float64, n)
+func (ix *planIndex) chooseViewHome(ledger *cluster.Ledger, model cluster.CostModel, contribs []viewContrib, incumbent int) int {
+	n := ix.nodes
 	bestCost, bestLoad := 0.0, 0.0
 	dest := -1
-	evaluate := func(j int) {
-		for k := 0; k < n; k++ {
-			extraNtwk[k] = 0
-			extraCPU[k] = 0
+	for c := -1; c < n; c++ {
+		j := c
+		if c == -1 {
+			j = incumbent
 		}
-		addViewCharges(extraNtwk, extraCPU, model, contribs, j)
-		optNow := ledger.CostWith(extraNtwk, extraCPU)
+		if j < 0 || j >= n || (c >= 0 && j == incumbent) {
+			continue
+		}
+		addViewCharges(clearFloats(ix.extraNtwk), clearFloats(ix.extraCPU), model, contribs, j)
+		optNow := ledger.CostWith(ix.extraNtwk, ix.extraCPU)
 		// Ties on the flat max objective are broken by the smallest added
 		// load, keeping view chunks with their differential producers (see
 		// chooseJoinSite).
-		load := sum(extraNtwk) + sum(extraCPU)
+		load := sum(ix.extraNtwk) + sum(ix.extraCPU)
 		if dest == -1 || optNow < bestCost || (optNow == bestCost && load < bestLoad) {
 			bestCost = optNow
 			bestLoad = load
 			dest = j
-		}
-	}
-	if incumbent >= 0 && incumbent < n {
-		evaluate(incumbent)
-	}
-	for j := 0; j < n; j++ {
-		if j != dest {
-			evaluate(j)
 		}
 	}
 	return dest
@@ -170,18 +144,15 @@ func chooseViewHome(ledger *cluster.Ledger, model cluster.CostModel, contribs []
 
 // applyViewCharges adds (sign=+1) or removes (sign=-1) one view chunk's
 // merge charges at home j from the ledger.
-func applyViewCharges(ledger *cluster.Ledger, model cluster.CostModel, contribs []viewContrib, j int, sign float64) {
-	n := ledger.NumNodes()
-	extraNtwk := make([]float64, n)
-	extraCPU := make([]float64, n)
-	addViewCharges(extraNtwk, extraCPU, model, contribs, j)
+func (ix *planIndex) applyViewCharges(ledger *cluster.Ledger, model cluster.CostModel, contribs []viewContrib, j int, sign float64) {
+	addViewCharges(clearFloats(ix.extraNtwk), clearFloats(ix.extraCPU), model, contribs, j)
 	if sign != 1 {
-		for k := 0; k < n; k++ {
-			extraNtwk[k] *= sign
-			extraCPU[k] *= sign
+		for k := range ix.extraNtwk {
+			ix.extraNtwk[k] *= sign
+			ix.extraCPU[k] *= sign
 		}
 	}
-	ledger.Apply(extraNtwk, extraCPU)
+	ledger.Apply(ix.extraNtwk, ix.extraCPU)
 }
 
 func addViewCharges(extraNtwk, extraCPU []float64, model cluster.CostModel, contribs []viewContrib, j int) {
@@ -199,8 +170,9 @@ func addViewCharges(extraNtwk, extraCPU []float64, model cluster.CostModel, cont
 // batches exponentially decayed), then greedily co-locate chunks with their
 // highest-scoring view chunk — but only onto nodes that already received a
 // replica this batch, and only within a per-node CPU quota.
-func assignArrayHomes(ctx *Context, p *Plan, holders *holderTracker) {
-	n := ctx.Cluster.NumNodes()
+func assignArrayHomes(ctx *Context, p *Plan) {
+	ix := ctx.index()
+	n := ix.nodes
 	pairs, totalPairBytes := scoredPairs(ctx)
 	if len(pairs) == 0 {
 		fallbackDeltaHomes(ctx, p, nil)
@@ -216,16 +188,16 @@ func assignArrayHomes(ctx *Context, p *Plan, holders *holderTracker) {
 	}
 
 	assigned, bestView := greedyCoLocate(pairs, quota,
-		func(r view.ChunkRef) int64 { return sizeOfBatchRef(ctx, r) },
+		func(r view.ChunkRef) int64 { return ix.sizeOf(ctx, batchRef(ctx, r)) },
 		func(v array.ChunkKey) (int, bool) { return viewHomeFor(ctx, p, v) },
-		func(r view.ChunkRef, j int) bool { return replicaAt(ctx, holders, r, j) },
+		func(r view.ChunkRef, j int) bool { return replicaAt(ctx, r, j) },
 	)
 	for ref, j := range assigned {
 		// Chunks whose base incarnation exists are rehomed under their base
 		// identity (the staged delta merges into them wherever they land);
 		// brand-new chunks are keyed by their delta ref.
 		key := batchRef(ctx, ref)
-		if _, ok := ctx.Cluster.Catalog().Home(ref.Array, ref.Key); ok {
+		if _, ok := ix.homeOf(ctx, ref); ok {
 			key = ref
 		}
 		p.ArrayRehome[key] = j
@@ -245,14 +217,16 @@ func greedyCoLocate(pairs []scoredPair, quota []float64,
 	viewHome func(array.ChunkKey) (int, bool),
 	hasReplica func(view.ChunkRef, int) bool,
 ) (map[view.ChunkRef]int, map[view.ChunkRef]array.ChunkKey) {
-	sort.SliceStable(pairs, func(i, j int) bool {
-		if pairs[i].score != pairs[j].score {
-			return pairs[i].score > pairs[j].score
+	// A total order over the unique (ref, viewKey) pairs, so an unstable
+	// sort yields the one possible result.
+	slices.SortFunc(pairs, func(a, b scoredPair) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		if pairs[i].ref != pairs[j].ref {
-			return pairs[i].ref.Less(pairs[j].ref)
+		if c := a.ref.Compare(b.ref); c != 0 {
+			return c
 		}
-		return pairs[i].viewKey < pairs[j].viewKey
+		return cmp.Compare(a.viewKey, b.viewKey)
 	})
 	assigned := make(map[view.ChunkRef]int)
 	bestView := make(map[view.ChunkRef]array.ChunkKey)
@@ -303,10 +277,11 @@ func scoredPairs(ctx *Context) ([]scoredPair, float64) {
 		}
 		m[v] += w * float64(bytes)
 	}
+	ix := ctx.index()
 	lambda := ctx.Params.Lambda
 	totalPairBytes := 0.0
-	for _, u := range ctx.Units {
-		bp, bq := ctx.SizeOf(u.P), ctx.SizeOf(u.Q)
+	for i, u := range ctx.Units {
+		bp, bq := ix.size[ix.unitP[i]], ix.size[ix.unitQ[i]]
 		for _, v := range u.Views {
 			add(normalizeRef(ctx, u.P), v, lambda, bp)
 			add(normalizeRef(ctx, u.Q), v, lambda, bq)
@@ -341,23 +316,20 @@ func normalizeRef(ctx *Context, r view.ChunkRef) view.ChunkRef {
 // on this batch: the delta namespace when the chunk is part of the staged
 // batch, otherwise the base namespace.
 func batchRef(ctx *Context, r view.ChunkRef) view.ChunkRef {
+	ix := ctx.index()
 	if r.Array == ctx.BaseAlpha {
 		d := view.ChunkRef{Array: ctx.DeltaAlpha, Key: r.Key}
-		if _, ok := ctx.Cluster.Catalog().Home(d.Array, d.Key); ok {
+		if _, ok := ix.homeOf(ctx, d); ok {
 			return d
 		}
 	}
 	if r.Array == ctx.BaseBeta {
 		d := view.ChunkRef{Array: ctx.DeltaBeta, Key: r.Key}
-		if _, ok := ctx.Cluster.Catalog().Home(d.Array, d.Key); ok {
+		if _, ok := ix.homeOf(ctx, d); ok {
 			return d
 		}
 	}
 	return r
-}
-
-func sizeOfBatchRef(ctx *Context, normalized view.ChunkRef) int64 {
-	return ctx.SizeOf(batchRef(ctx, normalized))
 }
 
 // replicaAt reports whether the (normalized) chunk's content will be
@@ -366,29 +338,29 @@ func sizeOfBatchRef(ctx *Context, normalized view.ChunkRef) int64 {
 // copy counts — the staged delta merges into it wherever it ends up. For
 // brand-new chunks (staged at the coordinator, no base incarnation), the
 // first placement is free, though nodes the join plan shipped them to are
-// preferred so storage matches computation.
-func replicaAt(ctx *Context, holders *holderTracker, normalized view.ChunkRef, j int) bool {
-	if home, ok := ctx.Cluster.Catalog().Home(normalized.Array, normalized.Key); ok {
+// preferred so storage matches computation. Chunks outside the batch (named
+// only by the history window) are held at their catalog home and nowhere
+// else.
+func replicaAt(ctx *Context, normalized view.ChunkRef, j int) bool {
+	ix := ctx.index()
+	if home, ok := ix.homeOf(ctx, normalized); ok {
 		if home == j {
 			return true
 		}
-		return holders != nil && holders.has(normalized, j)
+		id, inBatch := ix.refID[normalized]
+		return inBatch && ix.has(id, j)
 	}
 	r := batchRef(ctx, normalized)
-	if ctx.IsDelta(r) && ctx.HomeOf(r) == cluster.Coordinator {
-		if holders == nil {
-			return true
-		}
-		set := holders.set(r)
-		if len(set) == 1 { // only the coordinator: never shipped
-			return true
-		}
-		return set[j]
+	home, ok := ix.homeOf(ctx, r)
+	if !ok {
+		home = cluster.Coordinator
 	}
-	if holders != nil && holders.has(r, j) {
-		return true
+	id, inBatch := ix.refID[r]
+	if ctx.IsDelta(r) && home == cluster.Coordinator {
+		// Never shipped (or not joined at all): any node is free.
+		return !inBatch || !ix.anyHolder(id) || ix.has(id, j)
 	}
-	return ctx.HomeOf(r) == j
+	return home == j || (inBatch && ix.has(id, j))
 }
 
 // viewHomeFor resolves a view chunk's destination: the current plan's
@@ -405,9 +377,10 @@ func viewHomeFor(ctx *Context, p *Plan, v array.ChunkKey) (int, bool) {
 // the node of its highest-scoring view chunk when known (the paper's tight-
 // quota fallback), otherwise static placement.
 func fallbackDeltaHomes(ctx *Context, p *Plan, bestView map[view.ChunkRef]array.ChunkKey) {
-	n := ctx.Cluster.NumNodes()
-	for _, r := range ctx.DeltaRefs() {
-		if !ctx.IsDelta(r) {
+	ix := ctx.index()
+	n := ix.nodes
+	for id, r := range ix.refs {
+		if !ix.isDelta[id] {
 			continue
 		}
 		if _, ok := p.ArrayRehome[r]; ok {

@@ -76,10 +76,11 @@ func buildCandidate(ctx *Context, joinSites, viewHomes []int, viewKeys []array.C
 	for i, v := range viewKeys {
 		p.ViewHome[v] = viewHomes[i]
 	}
-	holders := newHolderTracker(ctx, nil)
-	for i, u := range ctx.Units {
-		p.Transfers = append(p.Transfers, holders.ensure(u.P, joinSites[i])...)
-		p.Transfers = append(p.Transfers, holders.ensure(u.Q, joinSites[i])...)
+	ix := ctx.index()
+	ix.resetHolders()
+	for i, site := range joinSites {
+		p.Transfers = ix.ensure(p.Transfers, ix.unitP[i], site)
+		p.Transfers = ix.ensure(p.Transfers, ix.unitQ[i], site)
 	}
 	return p
 }

@@ -59,9 +59,8 @@ func NewFastPath(viewCacheBytes int64, ctrs *obs.FastPathCounters) *FastPath {
 // only on the view and query shapes, so it survives forever; the plan costs
 // are valid only at the catalog layout version that priced them.
 type decideEntry struct {
-	delta       *shape.Shape // nil: the query IS the view
-	plus, minus *shape.Shape
-	deltaCard   int64
+	delta     *shape.Shape // nil: the query IS the view
+	deltaCard int64
 
 	costsValid   bool
 	layout       uint64

@@ -16,7 +16,7 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/cluster"
@@ -51,20 +51,18 @@ type Choice struct {
 	// shapes, computed once per decision and carried here so the answer
 	// paths never re-derive it. Nil means the query shape IS the view shape.
 	Delta *shape.Shape
-	// plus and minus are Delta's signed halves (see splitDelta).
-	plus, minus *shape.Shape
+	// query is the shape the decision was made for; it signs Delta.
+	query *shape.Shape
 }
 
-// signOf returns the signed-evaluation weight of a Δ offset: +1 for offsets
-// the query adds, −1 for offsets only the view has.
+// signOf returns the signed-evaluation weight of a Δ offset (the only kind
+// the Δ-shape join emits): +1 for offsets the query adds, −1 for offsets
+// only the view has.
 func (ch *Choice) signOf(off []int64) float64 {
-	if ch.plus != nil && ch.plus.Contains(off) {
+	if ch.query.Contains(off) {
 		return 1
 	}
-	if ch.minus != nil && ch.minus.Contains(off) {
-		return -1
-	}
-	return 0
+	return -1
 }
 
 // Result is an answered query.
@@ -159,8 +157,7 @@ func (e *Engine) decideForMode(ctx context.Context, queryShape *shape.Shape, mod
 		QueryCard: queryShape.Card(),
 		DeltaCard: ent.deltaCard,
 		Delta:     ent.delta,
-		plus:      ent.plus,
-		minus:     ent.minus,
+		query:     queryShape,
 	}
 	if ent.delta == nil {
 		// The query IS the view; the differential path is free.
@@ -194,7 +191,7 @@ func (e *Engine) decideForMode(ctx context.Context, queryShape *shape.Shape, mod
 	if err := ctx.Err(); err != nil {
 		return Choice{}, err
 	}
-	completeCost, _, err := e.planPath(queryShape, pathComplete)
+	completeCost, _, err := e.planPath(queryShape, e.fullJoinUnits(queryShape), pathComplete)
 	if err != nil {
 		return Choice{}, err
 	}
@@ -208,7 +205,7 @@ func (e *Engine) decideForMode(ctx context.Context, queryShape *shape.Shape, mod
 }
 
 // deltaEntry computes (or recalls) the layout-independent half of a
-// decision: the Δ shape and its signed split. The query shape is
+// decision: the Δ shape. The query shape is
 // caller-supplied, so an arity mismatch is a bad query, not a broken
 // invariant — it surfaces as an error.
 func (e *Engine) deltaEntry(queryShape *shape.Shape) (*decideEntry, error) {
@@ -231,9 +228,6 @@ func (e *Engine) deltaEntry(queryShape *shape.Shape) (*decideEntry, error) {
 	ent := &decideEntry{delta: delta}
 	if delta != nil {
 		ent.deltaCard = delta.Card()
-		if ent.plus, ent.minus, err = splitDelta(queryShape, delta); err != nil {
-			return nil, err
-		}
 	}
 	if f != nil && fp != "" {
 		f.countMemo(false)
@@ -244,7 +238,7 @@ func (e *Engine) deltaEntry(queryShape *shape.Shape) (*decideEntry, error) {
 
 // answerComplete runs the full similarity join over the base array.
 func (e *Engine) answerComplete(ctx context.Context, queryShape *shape.Shape, ch Choice) (*Result, error) {
-	_, plan, err := e.planPath(queryShape, pathComplete)
+	_, plan, err := e.planPath(queryShape, e.fullJoinUnits(queryShape), pathComplete)
 	if err != nil {
 		return nil, err
 	}
@@ -295,32 +289,6 @@ func (e *Engine) answerWithView(ctx context.Context, queryShape *shape.Shape, ch
 	return &Result{Array: out, Choice: ch, Ledger: ledger}, nil
 }
 
-// splitDelta partitions the Δ shape into its signed halves: offsets in the
-// query shape add, the rest (view-only offsets) subtract. A Δ offset that
-// fails to rebuild as a shape is a real error — swallowing it would make
-// signOf silently treat those offsets as 0 and corrupt the answer.
-func splitDelta(queryShape, delta *shape.Shape) (plus, minus *shape.Shape, err error) {
-	var plusOffs, minusOffs [][]int64
-	for _, off := range delta.Offsets() {
-		if queryShape.Contains(off) {
-			plusOffs = append(plusOffs, off)
-		} else {
-			minusOffs = append(minusOffs, off)
-		}
-	}
-	if len(plusOffs) > 0 {
-		if plus, err = shape.FromOffsets("delta+", plusOffs); err != nil {
-			return nil, nil, fmt.Errorf("query: building signed delta half: %w", err)
-		}
-	}
-	if len(minusOffs) > 0 {
-		if minus, err = shape.FromOffsets("delta-", minusOffs); err != nil {
-			return nil, nil, fmt.Errorf("query: building signed delta half: %w", err)
-		}
-	}
-	return plus, minus, nil
-}
-
 // pathKind selects how a query path assembles its result.
 type pathKind int
 
@@ -338,13 +306,15 @@ const (
 
 // planViewPath prices both differential variants — merge at the view's
 // homes versus assemble a fresh result and ship the view to it — and
-// returns the cheaper, as a plan optimizer would.
+// returns the cheaper, as a plan optimizer would. Both variants join the
+// same chunk pairs, enumerated once.
 func (e *Engine) planViewPath(delta *shape.Shape) (float64, *queryPlan, error) {
-	inPlaceCost, inPlace, err := e.planPath(delta, pathViewInPlace)
+	units := e.fullJoinUnits(delta)
+	inPlaceCost, inPlace, err := e.planPath(delta, units, pathViewInPlace)
 	if err != nil {
 		return 0, nil, err
 	}
-	freshCost, fresh, err := e.planPath(delta, pathViewFresh)
+	freshCost, fresh, err := e.planPath(delta, units, pathViewFresh)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -354,11 +324,9 @@ func (e *Engine) planViewPath(delta *shape.Shape) (float64, *queryPlan, error) {
 	return freshCost, fresh, nil
 }
 
-// planPath builds the full-join unit set for a shape and prices it with
-// the greedy maintenance planner under the given result-assembly kind.
-func (e *Engine) planPath(sh *shape.Shape, kind pathKind) (float64, *queryPlan, error) {
-	pred := simjoin.NewPred(sh, e.Def.Pred.Mapping)
-	units := e.fullJoinUnits(pred)
+// planPath prices a shape's full-join unit set (see fullJoinUnits) with the
+// greedy maintenance planner under the given result-assembly kind.
+func (e *Engine) planPath(sh *shape.Shape, units []view.Unit, kind pathKind) (float64, *queryPlan, error) {
 	viewName := e.Def.Name + "#result"
 	if kind == pathViewInPlace {
 		viewName = e.Def.Name
@@ -418,48 +386,49 @@ type queryPlan struct {
 }
 
 // fullJoinUnits enumerates every ordered occupied chunk pair of the base
-// array that can match under the predicate, with the affected result chunks.
-func (e *Engine) fullJoinUnits(pred simjoin.Pred) []view.Unit {
+// array that can match under the shape, with the affected result chunks.
+func (e *Engine) fullJoinUnits(sh *shape.Shape) []view.Unit {
+	pred := simjoin.NewPred(sh, e.Def.Pred.Mapping)
 	cat := e.Cluster.Catalog()
 	baseName := e.Def.Alpha.Name
 	schema := cat.Schema(baseName)
 	vs := e.Def.Schema()
 	keys := cat.Keys(baseName)
+	// Each chunk's region and source region once, and one occupancy set —
+	// not a key decode, a dilation and a catalog lookup per candidate pair.
+	slot := make(map[array.ChunkKey]int32, len(keys))
+	regions := make([]array.Region, len(keys))
+	sources := make([]array.Region, len(keys))
+	for i, k := range keys {
+		slot[k] = int32(i)
+		regions[i] = schema.ChunkRegion(k.Coord())
+		sources[i] = pred.SourceRegion(regions[i])
+	}
 	var units []view.Unit
-	for _, pk := range keys {
-		pr := schema.ChunkRegion(pk.Coord())
+	for pi, pk := range keys {
+		pr := regions[pi]
 		reach := pred.ReachRegion(pr)
 		for _, cc := range schema.ChunksOverlapping(reach) {
-			qk := cc.Key()
-			if _, ok := cat.Home(baseName, qk); !ok {
+			qi, ok := slot[cc.Key()]
+			if !ok || !reach.Intersects(regions[qi]) {
 				continue
 			}
-			qr := schema.ChunkRegion(qk.Coord())
-			if !pred.PairChunks(pr, qr) {
-				continue
-			}
-			src, ok := pr.Intersect(pred.SourceRegion(qr))
+			src, ok := pr.Intersect(sources[qi])
 			if !ok {
 				continue
 			}
-			proj := e.Def.GroupRegion(src)
-			seen := make(map[array.ChunkKey]bool)
 			var views []array.ChunkKey
-			for _, vc := range vs.ChunksOverlapping(proj) {
-				k := vc.Key()
-				if !seen[k] {
-					seen[k] = true
-					views = append(views, k)
-				}
+			for _, vc := range vs.ChunksOverlapping(e.Def.GroupRegion(src)) {
+				views = append(views, vc.Key())
 			}
 			if len(views) == 0 {
 				continue
 			}
-			sort.Slice(views, func(i, j int) bool { return views[i] < views[j] })
+			slices.Sort(views)
 			units = append(units, view.Unit{
 				P:     view.ChunkRef{Array: baseName, Key: pk},
-				Q:     view.ChunkRef{Array: baseName, Key: qk},
-				Views: views,
+				Q:     view.ChunkRef{Array: baseName, Key: keys[qi]},
+				Views: slices.Compact(views),
 			})
 		}
 	}

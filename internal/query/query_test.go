@@ -240,26 +240,26 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
-func TestSplitDelta(t *testing.T) {
-	vShape, qShape := shape.L1(2, 1), shape.Linf(2, 1)
-	delta := shape.Delta(vShape, qShape)
-	plus, minus, err := splitDelta(qShape, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plus == nil || plus.Card() != 4 {
-		t.Fatalf("plus = %v, want the 4 corners", plus)
-	}
-	if minus != nil {
-		t.Fatalf("minus = %v, want nil (L1(1) ⊂ L∞(1))", minus)
-	}
-	// Reverse direction: view L∞(1), query L1(1): 4 minus offsets.
-	delta2 := shape.Delta(qShape, vShape)
-	plus2, minus2, err := splitDelta(vShape, delta2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plus2 != nil || minus2 == nil || minus2.Card() != 4 {
-		t.Fatalf("reverse split = %v / %v", plus2, minus2)
+// TestDeltaSigns: offsets the query adds count +1, offsets only the view
+// has count −1, in both directions of containment.
+func TestDeltaSigns(t *testing.T) {
+	cross, square := shape.L1(2, 1), shape.Linf(2, 1)
+	for _, tc := range []struct {
+		view, query *shape.Shape
+		want        float64
+	}{
+		{cross, square, 1},  // L1(1) ⊂ L∞(1): the 4 corners are added
+		{square, cross, -1}, // reverse: the 4 corners are view-only
+	} {
+		delta := shape.Delta(tc.view, tc.query)
+		if delta.Card() != 4 {
+			t.Fatalf("delta has %d offsets, want the 4 corners", delta.Card())
+		}
+		ch := Choice{Delta: delta, query: tc.query}
+		for _, off := range delta.Offsets() {
+			if got := ch.signOf(off); got != tc.want {
+				t.Errorf("signOf(%v) = %v, want %v", off, got, tc.want)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package shape
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -261,5 +262,28 @@ func TestNewValidation(t *testing.T) {
 func TestContainsArityMismatch(t *testing.T) {
 	if L1(2, 1).Contains([]int64{0}) {
 		t.Error("short offset must not be contained")
+	}
+}
+
+// TestFromOffsetsMembership: duplicates count once, and membership is exact
+// at the box corners, inside holes, and for offsets of extreme magnitude.
+func TestFromOffsetsMembership(t *testing.T) {
+	offs := [][]int64{{2, -1}, {0, 0}, {2, -1}, {-3, 4}, {math.MaxInt64, math.MinInt64}}
+	s, err := FromOffsets("m", offs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Card() != 4 {
+		t.Fatalf("Card = %d, want 4 distinct offsets", s.Card())
+	}
+	for _, off := range offs {
+		if !s.Contains(off) {
+			t.Errorf("%v must be a member", off)
+		}
+	}
+	for _, off := range [][]int64{{-3, -1}, {2, 4}, {1, 0}, {0, 1}, {math.MaxInt64, 0}, {0}, {0, 0, 0}} {
+		if s.Contains(off) {
+			t.Errorf("%v must not be a member", off)
+		}
 	}
 }

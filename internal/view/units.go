@@ -1,7 +1,9 @@
 package view
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/arrayview/arrayview/internal/array"
@@ -324,11 +326,19 @@ func sortedViewKeys(m map[array.ChunkKey]bool) []array.ChunkKey {
 	return out
 }
 
+// Compare orders references by array name then key.
+func (r ChunkRef) Compare(o ChunkRef) int {
+	if c := cmp.Compare(r.Array, o.Array); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.Key, o.Key)
+}
+
 func sortUnits(units []Unit) {
-	sort.Slice(units, func(i, j int) bool {
-		if units[i].P != units[j].P {
-			return units[i].P.Less(units[j].P)
+	slices.SortFunc(units, func(a, b Unit) int {
+		if c := a.P.Compare(b.P); c != 0 {
+			return c
 		}
-		return units[i].Q.Less(units[j].Q)
+		return a.Q.Compare(b.Q)
 	})
 }
