@@ -44,14 +44,17 @@ func (h *History) Len() int { return len(h.batches) }
 
 // Record captures the just-processed batch's units into the window,
 // normalizing delta refs to their base identity (the chunks exist in the
-// base array once the batch is merged).
+// base array once the batch is merged). Sizes are the planning index's: by
+// the time a batch is recorded its delta namespace is gone and its base
+// chunks have grown, and the window must weigh the pairs as the plan did.
 func (h *History) Record(ctx *Context) {
 	if h == nil || h.window == 0 {
 		return
 	}
+	ix := ctx.index()
 	var rec batchRec
-	for _, u := range ctx.Units {
-		bp, bq := ctx.SizeOf(u.P), ctx.SizeOf(u.Q)
+	for i, u := range ctx.Units {
+		bp, bq := ix.size[ix.unitP[i]], ix.size[ix.unitQ[i]]
 		for _, v := range u.Views {
 			rec.pairs = append(rec.pairs,
 				HistPair{Ref: normalizeRef(ctx, u.P), View: v, Bytes: bp},

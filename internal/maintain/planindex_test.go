@@ -177,3 +177,42 @@ func TestCandidateEvaluationDoesNotAllocate(t *testing.T) {
 		t.Errorf("chooseViewHome allocates %v times per call, want 0", n)
 	}
 }
+
+// sizingPlanner sums Σ B_pq over the batch's triples as the planner sees
+// them: with the delta namespace still staged and the base not yet merged.
+type sizingPlanner struct {
+	Planner
+	triplePairBytes int64
+}
+
+func (s *sizingPlanner) Plan(ctx *Context) (*Plan, error) {
+	s.triplePairBytes = 0
+	for _, u := range ctx.Units {
+		s.triplePairBytes += ctx.PairBytes(u) * int64(len(u.Views))
+	}
+	return s.Planner.Plan(ctx)
+}
+
+// TestHistoryRecordsPlanningTimeSizes: a batch is recorded after cleanup
+// dropped its delta namespace, when the catalog sizes every staged chunk at
+// zero. The window must keep the sizes the plan was solved against, or
+// Algorithm 3 weighs the freshly inserted chunks at nothing.
+func TestHistoryRecordsPlanningTimeSizes(t *testing.T) {
+	sp := &sizingPlanner{Planner: Reassign{}}
+	_, m, _ := setupFig1(t, sp)
+	if _, err := m.ApplyBatch(fig1Delta()); err != nil {
+		t.Fatal(err)
+	}
+	rec := m.History().batches[0]
+	if len(rec.pairs) == 0 {
+		t.Fatal("nothing recorded")
+	}
+	for _, pr := range rec.pairs {
+		if pr.Bytes == 0 {
+			t.Errorf("recorded pair (%v, %v) has Bytes == 0", pr.Ref, pr.View)
+		}
+	}
+	if rec.pairBytes != sp.triplePairBytes {
+		t.Errorf("recorded pairBytes = %d, want Σ B_pq over the batch's triples = %d", rec.pairBytes, sp.triplePairBytes)
+	}
+}
