@@ -39,7 +39,7 @@ func (Baseline) Plan(ctx *Context) (*Plan, error) {
 			p.ArrayRehome[r] = node
 		}
 		ix.from[id] = int32(node)
-		ix.hold(int32(id), node)
+		ix.held.add(int32(id), node)
 		p.Transfers = append(p.Transfers, Transfer{Ref: r, From: cluster.Coordinator, To: node})
 	}
 

@@ -59,9 +59,9 @@ func (p *Plan) Validate(ctx *Context) error {
 	}
 	// Residency: home plus planned transfers, one node bitset per chunk
 	// (private, so validation never disturbs a solve's holder state).
-	held := make([]uint64, len(ix.refs)*ix.words)
+	held := newNodeSets(len(ix.refs), n)
 	holds := func(id int32, node int) bool {
-		return node == int(ix.origin[id]) || (node >= 0 && held[int(id)*ix.words+node>>6]&(1<<(node&63)) != 0)
+		return node == int(ix.origin[id]) || (node >= 0 && held.has(id, node))
 	}
 	for _, t := range p.Transfers {
 		if t.To < 0 || t.To >= n {
@@ -78,7 +78,7 @@ func (p *Plan) Validate(ctx *Context) error {
 		if t.From >= n || !holds(id, t.From) {
 			return fmt.Errorf("maintain: transfer of %v from node %d which does not hold it", t.Ref, t.From)
 		}
-		held[int(id)*ix.words+t.To>>6] |= 1 << (t.To & 63)
+		held.add(id, t.To)
 	}
 	for i, u := range ctx.Units {
 		k := p.JoinSite[i]

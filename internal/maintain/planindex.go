@@ -48,12 +48,39 @@ type planIndex struct {
 	viewStart    []int32
 	unitViews    []int32
 
-	// Solve state: where each chunk ships from, a node bitset per chunk of
-	// who holds it so far, and the candidate-evaluation scratch.
-	words               int
+	// Solve state: where each chunk ships from, who holds it so far, and
+	// the candidate-evaluation scratch.
 	from                []int32
-	held                []uint64
+	held                nodeSets
 	extraNtwk, extraCPU []float64
+}
+
+// nodeSets is one set of worker nodes per chunk id, as a flat bitset.
+type nodeSets struct {
+	words int // per chunk
+	bits  []uint64
+}
+
+func newNodeSets(chunks, nodes int) nodeSets {
+	words := (nodes + 63) / 64
+	return nodeSets{words: words, bits: make([]uint64, chunks*words)}
+}
+
+func (s nodeSets) add(id int32, node int) {
+	s.bits[int(id)*s.words+node>>6] |= 1 << (node & 63)
+}
+
+func (s nodeSets) has(id int32, node int) bool {
+	return s.bits[int(id)*s.words+node>>6]&(1<<(node&63)) != 0
+}
+
+func (s nodeSets) empty(id int32) bool {
+	for _, w := range s.bits[int(id)*s.words : (int(id)+1)*s.words] {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // index returns the context's planning index, building it on first use
@@ -75,7 +102,6 @@ func buildPlanIndex(c *Context) *planIndex {
 		unitQ:     make([]int32, nu),
 		pairBytes: make([]int64, nu),
 		viewStart: make([]int32, nu+1),
-		words:     (n + 63) / 64,
 		extraNtwk: make([]float64, n),
 		extraCPU:  make([]float64, n),
 	}
@@ -115,7 +141,7 @@ func buildPlanIndex(c *Context) *planIndex {
 	ix.baseHome = make([]int32, nr)
 	ix.isDelta = make([]bool, nr)
 	ix.from = make([]int32, nr)
-	ix.held = make([]uint64, nr*ix.words)
+	ix.held = newNodeSets(nr, n)
 	var names []string
 	addName := func(name string) {
 		for _, have := range names {
@@ -196,33 +222,16 @@ func (ix *planIndex) sizeOf(c *Context, r view.ChunkRef) int64 {
 // resetHolders starts a solve: every chunk is held at its origin only.
 func (ix *planIndex) resetHolders() {
 	copy(ix.from, ix.origin)
-	clear(ix.held)
+	clear(ix.held.bits)
 	for id, node := range ix.origin {
 		if node >= 0 {
-			ix.hold(int32(id), int(node))
+			ix.held.add(int32(id), int(node))
 		}
 	}
-}
-
-func (ix *planIndex) hold(id int32, node int) {
-	ix.held[int(id)*ix.words+node>>6] |= 1 << (node & 63)
 }
 
 // has reports whether node holds the chunk so far in this solve.
-func (ix *planIndex) has(id int32, node int) bool {
-	return ix.held[int(id)*ix.words+node>>6]&(1<<(node&63)) != 0
-}
-
-// anyHolder reports whether any worker holds the chunk so far; for a
-// coordinator-staged chunk, whether the solve has shipped it at all.
-func (ix *planIndex) anyHolder(id int32) bool {
-	for _, w := range ix.held[int(id)*ix.words : (int(id)+1)*ix.words] {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
+func (ix *planIndex) has(id int32, node int) bool { return ix.held.has(id, node) }
 
 // ensure appends the transfer (if any) that makes the chunk resident at
 // node, shipping from its origin as in the x_{i,S_i,j} variables, and
@@ -235,7 +244,7 @@ func (ix *planIndex) ensure(ts []Transfer, id int32, node int) []Transfer {
 	} else if ix.has(id, node) {
 		return ts
 	} else {
-		ix.hold(id, node)
+		ix.held.add(id, node)
 	}
 	return append(ts, Transfer{Ref: ix.refs[id], From: int(ix.from[id]), To: node})
 }

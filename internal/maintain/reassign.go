@@ -358,7 +358,7 @@ func replicaAt(ctx *Context, normalized view.ChunkRef, j int) bool {
 	id, inBatch := ix.refID[r]
 	if ctx.IsDelta(r) && home == cluster.Coordinator {
 		// Never shipped (or not joined at all): any node is free.
-		return !inBatch || !ix.anyHolder(id) || ix.has(id, j)
+		return !inBatch || ix.held.empty(id) || ix.has(id, j)
 	}
 	return home == j || (inBatch && ix.has(id, j))
 }

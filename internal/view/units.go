@@ -21,11 +21,14 @@ type ChunkRef struct {
 func (r ChunkRef) String() string { return fmt.Sprintf("%s%v", r.Array, r.Key.Coord()) }
 
 // Less orders references by array name then key.
-func (r ChunkRef) Less(o ChunkRef) bool {
-	if r.Array != o.Array {
-		return r.Array < o.Array
+func (r ChunkRef) Less(o ChunkRef) bool { return r.Compare(o) < 0 }
+
+// Compare orders references by array name then key.
+func (r ChunkRef) Compare(o ChunkRef) int {
+	if c := cmp.Compare(r.Array, o.Array); c != 0 {
+		return c
 	}
-	return r.Key < o.Key
+	return cmp.Compare(r.Key, o.Key)
 }
 
 // Unit is one chunk-pair join of the differential view computation together
@@ -324,14 +327,6 @@ func sortedViewKeys(m map[array.ChunkKey]bool) []array.ChunkKey {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Compare orders references by array name then key.
-func (r ChunkRef) Compare(o ChunkRef) int {
-	if c := cmp.Compare(r.Array, o.Array); c != 0 {
-		return c
-	}
-	return cmp.Compare(r.Key, o.Key)
 }
 
 func sortUnits(units []Unit) {
