@@ -218,7 +218,7 @@ func (a *Array) EnsureOwned(key ChunkKey) { a.ensureOwned(key) }
 func (a *Array) Owned(key ChunkKey) bool { return !a.borrowed[key] }
 
 // Warm pre-builds every chunk's lazily derived caches (sorted-offset index,
-// bounding box, content hash). A chunk is not safe for concurrent use
+// coordinate column, bounding box, content hash). A chunk is not safe for concurrent use
 // because even read-side iteration may build those caches; after Warm, an
 // array that is never mutated again can serve any number of concurrent
 // readers — the property the assembled-view cache relies on to share one

@@ -2,23 +2,25 @@ package array
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Chunk is the unit of storage, I/O, and processing: a group of adjacent
 // cells covered by one regular chunk slot of the schema. Cells are stored
 // sparsely, keyed by their local row-major offset inside the chunk region.
 //
-// A Chunk maintains two lazily built caches derived from the occupied
-// offset set: a sorted-offset index (backing EachSorted and EachSortedInto)
-// and the tight bounding box of the occupied cells (backing BoundingBox).
-// Both are invalidated by any mutation that changes which cells are
-// occupied and rebuilt on next use, so repeated ordered iteration and
-// pruning — the join kernel's access pattern — pay the sort and the scan
-// once, not per call.
+// A Chunk maintains three lazily built caches derived from the occupied
+// offset set: a sorted-offset index (backing EachSorted), the coordinate
+// column (the cells' decoded global coordinates in index order, backing
+// Columns), and the tight bounding box of the occupied cells (backing
+// BoundingBox). All are invalidated by any mutation that changes which
+// cells are occupied and rebuilt on next use, so repeated ordered iteration
+// and pruning — the join kernel's access pattern — pay the sort, the offset
+// decode and the scan once, not per call.
 //
 // A Chunk is not safe for concurrent use: even read-side iteration may
-// build the caches. The cluster layer hands each worker its own copy.
+// build the caches. The cluster layer hands each worker its own copy, or
+// calls Warm before sharing one.
 type Chunk struct {
 	coord  ChunkCoord
 	region Region
@@ -27,6 +29,9 @@ type Chunk struct {
 
 	// sorted is the row-major offset index; nil when stale.
 	sorted []int64
+	// coords is the coordinate column: the global coordinates of the cells
+	// of sorted, packed d to a row in the same order; nil when stale.
+	coords []int64
 	// bbox is the cached bounding box of the occupied cells; valid only
 	// while bboxOK is set and the chunk is non-empty.
 	bbox   Region
@@ -82,6 +87,7 @@ func (c *Chunk) EncodedSize() int64 {
 // since any value change alters the canonical encoding).
 func (c *Chunk) invalidate() {
 	c.sorted = nil
+	c.coords = nil
 	c.bboxOK = false
 	c.hashOK = false
 }
@@ -96,10 +102,29 @@ func (c *Chunk) index() []int64 {
 		for off := range c.cells {
 			offs = append(offs, off)
 		}
-		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
+		slices.Sort(offs)
 		c.sorted = offs
 	}
 	return c.sorted
+}
+
+// Columns returns the chunk's cells as two parallel columns in row-major
+// order: offs[k] is the k-th cell's local offset (the key GetOffset takes)
+// and coords[k*d:(k+1)*d] its global coordinates, d being the chunk's
+// dimensionality. Both are built on first use and kept until the next
+// occupancy change, so a kernel visiting every cell many times decodes each
+// offset once. The slices are owned by the chunk and must not be mutated.
+func (c *Chunk) Columns() (offs, coords []int64) {
+	offs = c.index()
+	if c.coords == nil {
+		d := len(c.region.Lo)
+		col := make([]int64, len(offs)*d)
+		for k, off := range offs {
+			c.globalPointInto(off, col[k*d:(k+1)*d])
+		}
+		c.coords = col
+	}
+	return offs, c.coords
 }
 
 // localOffset converts a global point inside the chunk region to a local
@@ -160,9 +185,9 @@ func (c *Chunk) Get(p Point) (t Tuple, ok bool) {
 }
 
 // GetOffset returns the tuple stored at a local row-major offset. It is the
-// join kernel's probe fast path: the kernel derives offsets incrementally
-// from the region's strides, so the per-probe point decoding and bounds
-// check of Get are skipped.
+// join kernel's fetch path: the kernel takes offsets from Columns, or
+// derives them incrementally from the region's strides, so the per-probe
+// point decoding and bounds check of Get are skipped.
 func (c *Chunk) GetOffset(off int64) (t Tuple, ok bool) {
 	t, ok = c.cells[off]
 	return t, ok
@@ -202,25 +227,12 @@ func (c *Chunk) EachSorted(fn func(p Point, t Tuple) bool) {
 	}
 }
 
-// EachSortedInto is EachSorted with a caller-provided coordinate buffer:
-// buf (which must have the chunk's dimensionality) is refilled and passed
-// to fn for every cell, so the iteration itself allocates nothing. The
-// point is valid only for the duration of the callback.
-func (c *Chunk) EachSortedInto(buf Point, fn func(p Point, t Tuple) bool) {
-	for _, off := range c.index() {
-		c.globalPointInto(off, buf)
-		if !fn(buf, c.cells[off]) {
-			return
-		}
-	}
-}
-
 // Warm builds every lazily derived cache — the sorted-offset index, the
-// bounding box, and the content hash — so subsequent reads (iteration,
-// pruning, encoding) mutate nothing. A warmed chunk that is never mutated
-// again is safe for concurrent readers.
+// coordinate column, the bounding box, and the content hash — so subsequent
+// reads (iteration, joins, pruning, encoding) mutate nothing. A warmed chunk
+// that is never mutated again is safe for concurrent readers.
 func (c *Chunk) Warm() {
-	c.index()
+	c.Columns()
 	c.BoundingBox()
 	c.ContentHash()
 }

@@ -2,6 +2,7 @@ package array
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -17,9 +18,34 @@ func indexSchema() *Schema {
 		[]Attribute{{Name: "v", Type: Float64}})
 }
 
-// cachesStale reports which of the two lazily-built caches are invalidated.
+// cachesStale reports which of the lazily-built index and bounding-box
+// caches are invalidated.
 func cachesStale(c *Chunk) (sortedStale, bboxStale bool) {
 	return c.sorted == nil, !c.bboxOK
+}
+
+// columnStale reports whether the coordinate column is invalidated.
+func columnStale(c *Chunk) bool { return c.coords == nil }
+
+// checkColumns compares Columns against the points of EachSorted.
+func checkColumns(t *testing.T, c *Chunk) {
+	t.Helper()
+	offs, coords := c.Columns()
+	d := c.Region().NumDims()
+	if len(offs) != c.NumCells() || len(coords) != d*len(offs) {
+		t.Fatalf("Columns has %d offsets and %d coordinates for %d cells of %d dims", len(offs), len(coords), c.NumCells(), d)
+	}
+	k := 0
+	c.EachSorted(func(p Point, tup Tuple) bool {
+		if !p.Equal(coords[k*d : (k+1)*d]) {
+			t.Fatalf("Columns row %d = %v, EachSorted visits %v", k, coords[k*d:(k+1)*d], p)
+		}
+		if got, ok := c.GetOffset(offs[k]); !ok || &got[0] != &tup[0] {
+			t.Fatalf("Columns offset %d does not address the tuple of %v", offs[k], p)
+		}
+		k++
+		return true
+	})
 }
 
 // TestChunkIndexInvalidation interleaves mutations with the cached read
@@ -45,22 +71,23 @@ func TestChunkIndexInvalidation(t *testing.T) {
 	mustSet(Point{1, 2}, 2)
 	mustSet(Point{19, 9}, 3)
 
-	// Build both caches.
+	// Build every cache.
 	pts := sortedPoints()
 	if len(pts) != 3 {
 		t.Fatalf("EachSorted visited %d cells, want 3", len(pts))
 	}
+	checkColumns(t, c)
 	bb, ok := c.BoundingBox()
 	if !ok || !bb.Lo.Equal(Point{1, 2}) || !bb.Hi.Equal(Point{19, 9}) {
 		t.Fatalf("BoundingBox = %v, %v", bb, ok)
 	}
-	if s, b := cachesStale(c); s || b {
-		t.Fatal("caches must be built after EachSorted+BoundingBox")
+	if s, b := cachesStale(c); s || b || columnStale(c) {
+		t.Fatal("caches must be built after EachSorted+Columns+BoundingBox")
 	}
 
 	// Overwriting an occupied cell changes no offsets: caches stay valid.
 	mustSet(Point{3, 4}, 42)
-	if s, b := cachesStale(c); s || b {
+	if s, b := cachesStale(c); s || b || columnStale(c) {
 		t.Fatal("overwrite of an occupied cell must keep the caches")
 	}
 	if got, _ := c.Get(Point{3, 4}); got[0] != 42 {
@@ -71,16 +98,17 @@ func TestChunkIndexInvalidation(t *testing.T) {
 	if c.Delete(Point{0, 0}) {
 		t.Fatal("Delete of empty cell reported occupancy")
 	}
-	if s, b := cachesStale(c); s || b {
+	if s, b := cachesStale(c); s || b || columnStale(c) {
 		t.Fatal("Delete of an absent cell must keep the caches")
 	}
 
 	// A new cell invalidates; the rebuilt index must include it in order.
 	mustSet(Point{0, 0}, 4)
-	if s, b := cachesStale(c); !s || !b {
-		t.Fatal("Set of a fresh cell must invalidate both caches")
+	if s, b := cachesStale(c); !s || !b || !columnStale(c) {
+		t.Fatal("Set of a fresh cell must invalidate every cache")
 	}
 	pts = sortedPoints()
+	checkColumns(t, c)
 	want := []Point{{0, 0}, {1, 2}, {3, 4}, {19, 9}}
 	if len(pts) != len(want) {
 		t.Fatalf("EachSorted visited %d cells, want %d", len(pts), len(want))
@@ -95,12 +123,100 @@ func TestChunkIndexInvalidation(t *testing.T) {
 	if !c.Delete(Point{19, 9}) {
 		t.Fatal("Delete of occupied cell reported empty")
 	}
-	if s, b := cachesStale(c); !s || !b {
-		t.Fatal("Delete of an occupied cell must invalidate both caches")
+	if s, b := cachesStale(c); !s || !b || !columnStale(c) {
+		t.Fatal("Delete of an occupied cell must invalidate every cache")
 	}
 	bb, ok = c.BoundingBox()
 	if !ok || !bb.Lo.Equal(Point{0, 0}) || !bb.Hi.Equal(Point{3, 4}) {
 		t.Fatalf("BoundingBox after delete = %v, %v", bb, ok)
+	}
+
+	// The two merges change occupancy too, on the receiving side and (for
+	// the move) on the drained side.
+	for _, merge := range []struct {
+		name string
+		fn   func(dst, src *Chunk) error
+	}{
+		{"MergeFrom", (*Chunk).MergeFrom},
+		{"AbsorbFrom", (*Chunk).AbsorbFrom},
+	} {
+		src := NewChunk(indexSchema(), ChunkCoord{0, 0})
+		if err := src.Set(Point{7, 7}, Tuple{9}); err != nil {
+			t.Fatal(err)
+		}
+		c.Warm()
+		src.Warm()
+		if err := merge.fn(c, src); err != nil {
+			t.Fatal(err)
+		}
+		if s, b := cachesStale(c); !s || !b || !columnStale(c) {
+			t.Fatalf("%s must invalidate the destination's caches", merge.name)
+		}
+		if s, _ := cachesStale(src); s != (src.NumCells() == 0) || columnStale(src) != s {
+			t.Fatalf("%s: source index stale = %v, column stale = %v with %d cells left", merge.name, s, columnStale(src), src.NumCells())
+		}
+		checkColumns(t, c)
+		c.Delete(Point{7, 7})
+	}
+}
+
+// TestWarmBuildsEveryCache pins the contract shared chunks rely on: after
+// Warm no read path has anything left to build.
+func TestWarmBuildsEveryCache(t *testing.T) {
+	c := NewChunk(indexSchema(), ChunkCoord{0, 0})
+	if err := c.Set(Point{4, 4}, Tuple{1}); err != nil {
+		t.Fatal(err)
+	}
+	c.Warm()
+	if s, b := cachesStale(c); s || b || columnStale(c) || !c.hashOK {
+		t.Fatalf("Warm left a cache unbuilt: index stale %v, column stale %v, bbox stale %v, hash ok %v", s, columnStale(c), b, c.hashOK)
+	}
+}
+
+// TestDecodeChunkIndexOrder: a payload in EncodeChunk's ascending order
+// seeds the sorted index directly; one listing its cells in any other
+// order, or an offset twice, still decodes and iterates in sorted order.
+func TestDecodeChunkIndexOrder(t *testing.T) {
+	c := NewChunk(indexSchema(), ChunkCoord{0, 0})
+	for i := int64(0); i < 6; i++ {
+		if err := c.Set(Point{i * 3, i}, Tuple{float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc := EncodeChunk(c)
+	const cell = 16 // i64 offset + one f64 attribute
+	cells := enc[len(enc)-6*cell:]
+
+	canon, err := DecodeChunk(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(canon.sorted, c.index()) {
+		t.Fatalf("canonical payload seeded index %v, want %v", canon.sorted, c.index())
+	}
+
+	swapped := append([]byte(nil), enc...)
+	sw := swapped[len(swapped)-6*cell:]
+	copy(sw[:cell], cells[2*cell:3*cell])
+	copy(sw[2*cell:3*cell], cells[:cell])
+
+	dup := append([]byte(nil), enc...) // cell 1 listed twice, the later value wins
+	copy(dup[len(dup)-6*cell+2*cell:], cells[cell:2*cell])
+	dup[len(dup)-6*cell+3*cell-1] ^= 1
+
+	for name, buf := range map[string][]byte{"swapped": swapped, "duplicate": dup} {
+		got, err := DecodeChunk(buf)
+		if err != nil {
+			t.Fatalf("%s payload: %v", name, err)
+		}
+		if got.sorted != nil {
+			t.Fatalf("%s payload seeded the index %v", name, got.sorted)
+		}
+		offs, _ := got.Columns()
+		if len(offs) != got.NumCells() || !slices.IsSorted(offs) {
+			t.Fatalf("%s payload iterates %v over %d cells", name, offs, got.NumCells())
+		}
+		checkColumns(t, got)
 	}
 }
 
@@ -145,6 +261,7 @@ func TestChunkIndexRandomOps(t *testing.T) {
 		if i != len(keys) {
 			t.Fatalf("step %d: EachSorted visited %d cells, want %d", step, i, len(keys))
 		}
+		checkColumns(t, c)
 
 		bb, ok := c.BoundingBox()
 		if ok != (len(ref) > 0) {
@@ -249,46 +366,5 @@ func TestChunkAbsorbFrom(t *testing.T) {
 	}
 	if sStale, bStale := cachesStale(dst); sStale || bStale {
 		t.Fatal("absorbing an empty chunk must keep the caches")
-	}
-}
-
-// TestChunkEachSortedIntoMatches pins the allocation-free iteration variant
-// to the public EachSorted order and contents.
-func TestChunkEachSortedIntoMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	c := NewChunk(indexSchema(), ChunkCoord{1, 0})
-	for i := 0; i < 120; i++ {
-		p := Point{20 + rng.Int63n(20), rng.Int63n(10)}
-		if err := c.Set(p, Tuple{float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var want []Point
-	var wantV []float64
-	c.EachSorted(func(p Point, tup Tuple) bool {
-		want = append(want, p.Clone())
-		wantV = append(wantV, tup[0])
-		return true
-	})
-	buf := make(Point, 2)
-	i := 0
-	c.EachSortedInto(buf, func(p Point, tup Tuple) bool {
-		if &p[0] != &buf[0] {
-			t.Fatal("EachSortedInto must yield the caller's buffer")
-		}
-		if !p.Equal(want[i]) || tup[0] != wantV[i] {
-			t.Fatalf("EachSortedInto[%d] = %v/%v, want %v/%v", i, p, tup[0], want[i], wantV[i])
-		}
-		i++
-		return true
-	})
-	if i != len(want) {
-		t.Fatalf("EachSortedInto visited %d cells, want %d", i, len(want))
-	}
-	// Early termination is honored.
-	n := 0
-	c.EachSortedInto(buf, func(Point, Tuple) bool { n++; return n < 5 })
-	if n != 5 {
-		t.Fatalf("EachSortedInto visited %d cells after stop, want 5", n)
 	}
 }

@@ -78,6 +78,10 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 	}
 	for i := range c.region.Hi {
 		c.region.Hi[i] = r.i64()
+		// Offsets decode by dividing through each dimension's span.
+		if c.region.Hi[i]-c.region.Lo[i]+1 <= 0 {
+			return nil, fmt.Errorf("array: chunk region [%d, %d] on dim %d is empty or overflows", c.region.Lo[i], c.region.Hi[i], i)
+		}
 	}
 	nattrs := r.u32()
 	un := r.u64()
@@ -98,13 +102,23 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 	}
 	n := int(un)
 	c.cells = make(map[int64]Tuple, n)
-	for i := 0; i < n; i++ {
+	// EncodeChunk writes offsets strictly ascending, so its payload is the
+	// sorted index already; any other order (or a duplicate) leaves the
+	// index nil for index() to sort the decoded cell set.
+	offs := make([]int64, n)
+	ascending := true
+	for i := range offs {
 		off := r.i64()
 		t := make(Tuple, c.nattrs)
 		for j := range t {
 			t[j] = math.Float64frombits(r.u64())
 		}
 		c.cells[off] = t
+		ascending = ascending && (i == 0 || off > offs[i-1])
+		offs[i] = off
+	}
+	if ascending {
+		c.sorted = offs
 	}
 	return c, r.err
 }

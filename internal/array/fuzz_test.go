@@ -2,6 +2,7 @@ package array
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -35,11 +36,35 @@ func FuzzDecodeChunk(f *testing.F) {
 		big[len(big)-len(valid)%8-8+i] = 0xFF // stomp into the cell area
 	}
 	f.Add(big)
+	// Cells out of canonical order, and one offset listed twice: the two
+	// payloads whose index DecodeChunk must leave for index() to sort.
+	const cell = 16 // i64 offset + one f64 attribute
+	swapped := append([]byte(nil), valid...)
+	copy(swapped[len(swapped)-cell:], valid[len(valid)-2*cell:len(valid)-cell])
+	copy(swapped[len(swapped)-2*cell:], valid[len(valid)-cell:])
+	f.Add(swapped)
+	dup := append([]byte(nil), valid...)
+	copy(dup[len(dup)-cell:], valid[len(valid)-2*cell:len(valid)-cell])
+	f.Add(dup)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeChunk(data)
 		if err != nil {
 			return
+		}
+		// Whatever order the payload listed its cells in, iteration is in
+		// strictly ascending offset order over exactly the decoded cells.
+		offs, coords := c.Columns()
+		if len(offs) != c.NumCells() || len(coords) != len(offs)*c.Region().NumDims() {
+			t.Fatalf("Columns has %d offsets, %d coordinates for %d cells", len(offs), len(coords), c.NumCells())
+		}
+		if !slices.IsSorted(offs) {
+			t.Fatalf("decoded index not ascending: %v", offs)
+		}
+		for i, off := range offs {
+			if _, ok := c.GetOffset(off); !ok || (i > 0 && offs[i-1] == off) {
+				t.Fatalf("decoded index entry %d (%d) is not a distinct cell: %v", i, off, offs)
+			}
 		}
 		// Canonical re-encode: decode(enc) must be a fixed point even when
 		// the input listed cells out of order or with duplicate offsets.

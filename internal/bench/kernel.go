@@ -59,25 +59,53 @@ func kernelChunks(cells int) (*array.Chunk, *array.Chunk) {
 	return ca, cb
 }
 
+// kernelPTFChunks builds two consecutive nights of one PTF spatial chunk
+// (112×100×50), the later night first, mirroring the simjoin package's
+// ptfChunks: 170 cells make the PTF-5 join scan, 600 probe.
+func kernelPTFChunks(cells int) (*array.Chunk, *array.Chunk) {
+	s := array.MustSchema("P",
+		[]array.Dimension{
+			{Name: "time", Start: 0, End: 223, ChunkSize: 112},
+			{Name: "ra", Start: 1, End: 100, ChunkSize: 100},
+			{Name: "dec", Start: 1, End: 50, ChunkSize: 50},
+		},
+		[]array.Attribute{{Name: "bright", Type: array.Float64}, {Name: "mag", Type: array.Float64}})
+	rng := rand.New(rand.NewSource(5))
+	ca := array.NewChunk(s, array.ChunkCoord{1, 0, 0})
+	cb := array.NewChunk(s, array.ChunkCoord{0, 0, 0})
+	for i := 0; i < cells; i++ {
+		_ = ca.Set(array.Point{112 + rng.Int63n(112), 30 + rng.Int63n(40), 10 + rng.Int63n(25)}, array.Tuple{1, 2})
+		_ = cb.Set(array.Point{rng.Int63n(112), 30 + rng.Int63n(40), 10 + rng.Int63n(25)}, array.Tuple{3, 4})
+	}
+	return ca, cb
+}
+
 // Kernel runs the join-kernel and chunk micro-benchmarks and returns the
 // measured table. One join op is a self-join plus a neighbor join of the
 // fixture chunks, matching BenchmarkJoinKernel* in internal/simjoin.
 func Kernel(w io.Writer) (*KernelResult, error) {
 	res := &KernelResult{Label: "current", GoMaxProcs: runtime.GOMAXPROCS(0)}
 
+	ptf5, err := shape.Embed(shape.L1(2, 1), 3, []int{1, 2}, map[int][2]int64{0: {-200, 0}})
+	if err != nil {
+		return nil, err
+	}
 	joinCases := []struct {
-		name  string
-		shape *shape.Shape
-		cells int
+		name   string
+		shape  *shape.Shape
+		chunks func(cells int) (*array.Chunk, *array.Chunk)
+		cells  int
 	}{
-		{"join/L1r1/sparse", shape.L1(2, 1), 50},
-		{"join/L1r1/dense", shape.L1(2, 1), 1000},
-		{"join/Linf2/sparse", shape.Linf(2, 2), 50},
-		{"join/Linf2/dense", shape.Linf(2, 2), 1000},
-		{"join/L2r3/dense", shape.L2(2, 3), 1000},
+		{"join/L1r1/sparse", shape.L1(2, 1), kernelChunks, 50},
+		{"join/L1r1/dense", shape.L1(2, 1), kernelChunks, 1000},
+		{"join/Linf2/sparse", shape.Linf(2, 2), kernelChunks, 50},
+		{"join/Linf2/dense", shape.Linf(2, 2), kernelChunks, 1000},
+		{"join/L2r3/dense", shape.L2(2, 3), kernelChunks, 1000},
+		{"join/PTF5/scan", ptf5, kernelPTFChunks, 170},
+		{"join/PTF5/probe", ptf5, kernelPTFChunks, 600},
 	}
 	for _, jc := range joinCases {
-		ca, cb := kernelChunks(jc.cells)
+		ca, cb := jc.chunks(jc.cells)
 		pred := simjoin.NewPred(jc.shape, nil)
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()

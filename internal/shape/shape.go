@@ -8,7 +8,6 @@ package shape
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -23,14 +22,36 @@ type Shape struct {
 	name string
 	lo   []int64
 	hi   []int64
-	pred func(off []int64) bool
+
+	// Membership inside the box, as data: rule names the test and dims lists
+	// the offset components it reads, in the rule's own order — every
+	// dimension for a plain shape, the embedded ones for an Embed. Contains
+	// therefore runs every named constructor without a closure or a gather
+	// buffer; only rulePred calls out.
+	rule   rule
+	dims   []int
+	radius int64                  // ruleL1: r; ruleL2: r²
+	rows   []int64                // ruleOffsets: sorted distinct offsets, len(dims) to a row
+	pred   func(off []int64) bool // rulePred
+
 	card atomic.Int64 // lazily computed cardinality; -1 until known
 	spec *Spec        // structural provenance when built by a named constructor
 }
 
-// New builds a shape from an offset bounding box [lo, hi] (inclusive,
-// component-wise) and a membership predicate evaluated only inside the box.
-func New(name string, lo, hi []int64, pred func(off []int64) bool) (*Shape, error) {
+// rule is how a shape decides membership for an offset inside its box.
+type rule uint8
+
+const (
+	rulePred    rule = iota // caller-supplied predicate (New)
+	ruleBox                 // the box is the shape (Linf)
+	ruleL1                  // Σ|off_d| <= radius
+	ruleL2                  // Σ off_d² <= radius
+	ruleOffsets             // binary search over rows
+)
+
+// newShape validates the box and returns a shape whose rule reads every
+// dimension in order; the caller fills in the rule.
+func newShape(name string, lo, hi []int64) (*Shape, error) {
 	if len(lo) != len(hi) || len(lo) == 0 {
 		return nil, fmt.Errorf("shape: bad box arity %d/%d", len(lo), len(hi))
 	}
@@ -39,8 +60,22 @@ func New(name string, lo, hi []int64, pred func(off []int64) bool) (*Shape, erro
 			return nil, fmt.Errorf("shape: empty box on dim %d: [%d, %d]", i, lo[i], hi[i])
 		}
 	}
-	s := &Shape{name: name, lo: cloneI64(lo), hi: cloneI64(hi), pred: pred}
+	s := &Shape{name: name, lo: cloneI64(lo), hi: cloneI64(hi), dims: make([]int, len(lo))}
+	for i := range s.dims {
+		s.dims[i] = i
+	}
 	s.card.Store(-1)
+	return s, nil
+}
+
+// New builds a shape from an offset bounding box [lo, hi] (inclusive,
+// component-wise) and a membership predicate evaluated only inside the box.
+func New(name string, lo, hi []int64, pred func(off []int64) bool) (*Shape, error) {
+	s, err := newShape(name, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	s.rule, s.pred = rulePred, pred
 	return s, nil
 }
 
@@ -53,44 +88,34 @@ func MustNew(name string, lo, hi []int64, pred func(off []int64) bool) *Shape {
 	return s
 }
 
-// L1 returns the L1-norm ball of radius r in dims dimensions, center
-// included: {off : Σ|off_i| <= r}. L1(2, 1) is the paper's 5-cell cross.
-func L1(dims int, r int64) *Shape {
+// ball builds the radius-r norm ball of the given rule over the cube
+// [-r, r]^dims.
+func ball(name string, dims int, r int64, rl rule, radius int64, kind SpecKind) *Shape {
 	lo, hi := cube(dims, r)
-	s := MustNew(fmt.Sprintf("L1(%d)", r), lo, hi, func(off []int64) bool {
-		sum := int64(0)
-		for _, v := range off {
-			sum += absI64(v)
-		}
-		return sum <= r
-	})
-	s.spec = &Spec{Kind: SpecL1, Dims: dims, Radius: r}
+	s, err := newShape(name, lo, hi)
+	if err != nil {
+		panic(err)
+	}
+	s.rule, s.radius = rl, radius
+	s.spec = &Spec{Kind: kind, Dims: dims, Radius: r}
 	return s
 }
 
-// Linf returns the L∞-norm ball of radius r: the full (2r+1)^dims cube.
+// L1 returns the L1-norm ball of radius r in dims dimensions, center
+// included: {off : Σ|off_i| <= r}. L1(2, 1) is the paper's 5-cell cross.
+func L1(dims int, r int64) *Shape {
+	return ball(fmt.Sprintf("L1(%d)", r), dims, r, ruleL1, r, SpecL1)
+}
+
+// Linf returns the L∞-norm ball of radius r: the full (2r+1)^dims cube, so
+// box membership is exactly the ball.
 func Linf(dims int, r int64) *Shape {
-	lo, hi := cube(dims, r)
-	s := MustNew(fmt.Sprintf("Linf(%d)", r), lo, hi, func(off []int64) bool {
-		return true // box membership is exactly the L∞ ball
-	})
-	s.spec = &Spec{Kind: SpecLinf, Dims: dims, Radius: r}
-	return s
+	return ball(fmt.Sprintf("Linf(%d)", r), dims, r, ruleBox, 0, SpecLinf)
 }
 
 // L2 returns the Euclidean-norm ball of radius r: {off : Σ off_i² <= r²}.
 func L2(dims int, r int64) *Shape {
-	lo, hi := cube(dims, r)
-	r2 := r * r
-	s := MustNew(fmt.Sprintf("L2(%d)", r), lo, hi, func(off []int64) bool {
-		sum := int64(0)
-		for _, v := range off {
-			sum += v * v
-		}
-		return sum <= r2
-	})
-	s.spec = &Spec{Kind: SpecL2, Dims: dims, Radius: r}
-	return s
+	return ball(fmt.Sprintf("L2(%d)", r), dims, r, ruleL2, r*r, SpecL2)
 }
 
 // FromOffsets builds a shape from an explicit offset list. Offsets are
@@ -125,15 +150,12 @@ func FromOffsets(name string, offs [][]int64) (*Shape, error) {
 			rows = append(rows, off...)
 		}
 	}
-	n := len(rows) / d
-	s, err := New(name, lo, hi, func(off []int64) bool {
-		i := sort.Search(n, func(i int) bool { return slices.Compare(rows[i*d:(i+1)*d], off) >= 0 })
-		return i < n && equalI64(rows[i*d:(i+1)*d], off)
-	})
+	s, err := newShape(name, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	s.card.Store(int64(n))
+	s.rule, s.rows = ruleOffsets, rows
+	s.card.Store(int64(len(rows) / d))
 	s.spec = &Spec{Kind: SpecOffsets, Name: name, Offsets: cloneOffsets(offs)}
 	return s, nil
 }
@@ -179,22 +201,32 @@ func Embed(inner *Shape, ndims int, dims []int, window map[int][2]int64) (*Shape
 		lo[k] = w[0]
 		hi[k] = w[1]
 	}
-	dimsCopy := append([]int(nil), dims...)
 	name := inner.name
 	if len(window) > 0 {
 		name = fmt.Sprintf("%s@%ddim", inner.name, ndims)
 	}
-	// The predicate allocates its scratch buffer per call so that shapes are
-	// safe for concurrent use by join workers.
-	s, err := New(name, lo, hi, func(off []int64) bool {
-		innerOff := make([]int64, len(dimsCopy))
-		for i, d := range dimsCopy {
-			innerOff[i] = off[d]
-		}
-		return inner.pred(innerOff)
-	})
+	s, err := newShape(name, lo, hi)
 	if err != nil {
 		return nil, err
+	}
+	if inner.rule == rulePred {
+		// An opaque predicate wants its offset as one slice; gathering it
+		// per call keeps the shape safe for concurrent join workers.
+		dimsCopy := append([]int(nil), dims...)
+		s.pred = func(off []int64) bool {
+			innerOff := make([]int64, len(dimsCopy))
+			for i, d := range dimsCopy {
+				innerOff[i] = off[d]
+			}
+			return inner.pred(innerOff)
+		}
+	} else {
+		// The inner rule reads its components through the embedding.
+		s.rule, s.radius, s.rows = inner.rule, inner.radius, inner.rows
+		s.dims = make([]int, len(inner.dims))
+		for i, d := range inner.dims {
+			s.dims[i] = dims[d]
+		}
 	}
 	if inner.spec != nil {
 		wcopy := make(map[int][2]int64, len(window))
@@ -238,7 +270,59 @@ func (s *Shape) Contains(off []int64) bool {
 			return false
 		}
 	}
-	return s.pred(off)
+	return s.member(off)
+}
+
+// member applies the shape's rule to an offset already known to lie inside
+// the box.
+func (s *Shape) member(off []int64) bool {
+	switch s.rule {
+	case ruleBox:
+		return true
+	case ruleL1:
+		sum := int64(0)
+		for _, d := range s.dims {
+			sum += absI64(off[d])
+		}
+		return sum <= s.radius
+	case ruleL2:
+		sum := int64(0)
+		for _, d := range s.dims {
+			sum += off[d] * off[d]
+		}
+		return sum <= s.radius
+	case ruleOffsets:
+		w := len(s.dims)
+		lo, hi := 0, len(s.rows)/w
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			switch s.cmpRow(s.rows[mid*w:(mid+1)*w], off) {
+			case 0:
+				return true
+			case -1:
+				lo = mid + 1
+			default:
+				hi = mid
+			}
+		}
+		return false
+	default:
+		return s.pred(off)
+	}
+}
+
+// cmpRow orders a packed offsets row against the components of off the
+// rule reads.
+func (s *Shape) cmpRow(row, off []int64) int {
+	for i, d := range s.dims {
+		if v := off[d]; row[i] != v {
+			if row[i] < v {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // Card returns the number of offsets in the shape, enumerating the bounding
@@ -250,7 +334,7 @@ func (s *Shape) Card() int64 {
 	}
 	n := int64(0)
 	s.eachBox(func(off []int64) {
-		if s.pred(off) {
+		if s.member(off) {
 			n++
 		}
 	})
@@ -272,7 +356,7 @@ func (s *Shape) BoxVolume() int64 {
 func (s *Shape) Offsets() [][]int64 {
 	out := make([][]int64, 0, maxI64(s.card.Load(), 0))
 	s.eachBox(func(off []int64) {
-		if s.pred(off) {
+		if s.member(off) {
 			out = append(out, cloneI64(off))
 		}
 	})
@@ -296,7 +380,7 @@ func (s *Shape) Reflect() *Shape {
 		for i, v := range off {
 			neg[i] = -v
 		}
-		return orig.pred(neg)
+		return orig.member(neg)
 	})
 	out.card.Store(s.card.Load())
 	return out
@@ -311,7 +395,7 @@ func (s *Shape) Symmetric() bool {
 	}
 	sym := true
 	s.eachBox(func(off []int64) {
-		if s.pred(off) != r.Contains(off) {
+		if s.member(off) != r.Contains(off) {
 			sym = false
 		}
 	})
@@ -347,7 +431,7 @@ func DeltaChecked(view, query *Shape) (*Shape, error) {
 		lo[i] = minI64(view.lo[i], query.lo[i])
 		hi[i] = maxI64(view.hi[i], query.hi[i])
 	}
-	union := &Shape{lo: lo, hi: hi, pred: func([]int64) bool { return true }}
+	union := &Shape{lo: lo, hi: hi}
 	union.eachBox(func(off []int64) {
 		if view.Contains(off) != query.Contains(off) {
 			offs = append(offs, cloneI64(off))

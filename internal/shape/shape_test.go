@@ -287,3 +287,125 @@ func TestFromOffsetsMembership(t *testing.T) {
 		}
 	}
 }
+
+// namedShapes returns every named constructor next to the closure that
+// defines its membership inside the box.
+func namedShapes(t testing.TB) []struct {
+	sh   *Shape
+	want func(off []int64) bool
+} {
+	t.Helper()
+	list := [][]int64{{0, 0}, {1, -2}, {-2, 2}, {2, 1}, {1, -2}}
+	offsets, err := FromOffsets("list", list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		sh   *Shape
+		want func(off []int64) bool
+	}{
+		{L1(2, 2), func(off []int64) bool { return absI64(off[0])+absI64(off[1]) <= 2 }},
+		{Linf(2, 2), func(off []int64) bool { return true }},
+		{L2(2, 2), func(off []int64) bool { return off[0]*off[0]+off[1]*off[1] <= 4 }},
+		{offsets, func(off []int64) bool {
+			for _, m := range list {
+				if equalI64(m, off) {
+					return true
+				}
+			}
+			return false
+		}},
+	}
+}
+
+// embeddings lifts a 2-D shape into 3 and 4 dimensions: in order, permuted,
+// and through a second Embed.
+func embeddings(t testing.TB, inner *Shape) []struct {
+	sh   *Shape
+	dims []int // the outer dims inner's two components read
+} {
+	t.Helper()
+	embed := func(inner *Shape, ndims int, dims []int, window map[int][2]int64) *Shape {
+		s, err := Embed(inner, ndims, dims, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ptf := embed(inner, 3, []int{1, 2}, map[int][2]int64{0: {-4, 0}})
+	return []struct {
+		sh   *Shape
+		dims []int
+	}{
+		{ptf, []int{1, 2}},
+		{embed(inner, 3, []int{2, 0}, map[int][2]int64{1: {-1, 1}}), []int{2, 0}},
+		{embed(ptf, 4, []int{3, 0, 1}, map[int][2]int64{2: {0, 2}}), []int{0, 1}},
+	}
+}
+
+// TestContainsMatchesDefinition walks every offset of the box (and a rim
+// around it) of every named constructor and of its embeddings, comparing
+// Contains against the membership the constructor is defined by.
+func TestContainsMatchesDefinition(t *testing.T) {
+	check := func(sh *Shape, want func(off []int64) bool) {
+		t.Helper()
+		d := sh.NumDims()
+		lo, hi := sh.Box()
+		rim := &Shape{lo: make([]int64, d), hi: make([]int64, d)}
+		for i := range lo {
+			rim.lo[i], rim.hi[i] = lo[i]-1, hi[i]+1
+		}
+		n := int64(0)
+		rim.eachBox(func(off []int64) {
+			inBox := true
+			for i, v := range off {
+				inBox = inBox && v >= lo[i] && v <= hi[i]
+			}
+			if got := sh.Contains(off); got != (inBox && want(off)) {
+				t.Fatalf("%s.Contains(%v) = %v", sh.Name(), off, got)
+			} else if got {
+				n++
+			}
+		})
+		if n != sh.Card() || int(n) != len(sh.Offsets()) {
+			t.Fatalf("%s: %d members by Contains, Card %d, %d Offsets", sh.Name(), n, sh.Card(), len(sh.Offsets()))
+		}
+	}
+	custom := MustNew("diag", []int64{-2, -2}, []int64{2, 2}, func(off []int64) bool { return off[0] == off[1] })
+	cases := append(namedShapes(t), struct {
+		sh   *Shape
+		want func(off []int64) bool
+	}{custom, func(off []int64) bool { return off[0] == off[1] }})
+	for _, c := range cases {
+		check(c.sh, c.want)
+		for _, e := range embeddings(t, c.sh) {
+			check(e.sh, func(off []int64) bool { return c.want([]int64{off[e.dims[0]], off[e.dims[1]]}) })
+		}
+	}
+}
+
+// TestAllocsContains: membership of every named constructor, embedded or
+// not, is decided without allocating; only an embedded shape.New predicate
+// gathers its offset into a fresh slice.
+func TestAllocsContains(t *testing.T) {
+	for _, c := range namedShapes(t) {
+		shapes := []*Shape{c.sh}
+		for _, e := range embeddings(t, c.sh) {
+			shapes = append(shapes, e.sh)
+		}
+		for _, sh := range shapes {
+			in := make([]int64, sh.NumDims()) // the zero offset: inside every box
+			out := make([]int64, sh.NumDims())
+			out[0] = 1 << 40
+			if n := testing.AllocsPerRun(100, func() { sh.Contains(in); sh.Contains(out) }); n != 0 {
+				t.Errorf("%s.Contains allocates %v times per call pair", sh.Name(), n)
+			}
+		}
+	}
+	custom := MustNew("any", []int64{-1, -1}, []int64{1, 1}, func([]int64) bool { return true })
+	sh := embeddings(t, custom)[0].sh
+	in := make([]int64, sh.NumDims())
+	if n := testing.AllocsPerRun(100, func() { sh.Contains(in) }); n != 1 {
+		t.Errorf("embedded custom predicate allocates %v times per Contains, want its 1 gather buffer", n)
+	}
+}

@@ -87,14 +87,20 @@ func (p Pred) PairChunks(ra, rb array.Region) bool {
 // cardinalities, mirroring how the similarity join operator picks between
 // shape-order and data-order evaluation.
 //
-// The kernel iterates both chunks through their cached sorted-offset
-// indexes and runs every per-cell step out of a pooled scratch, so the
-// steady-state inner loop performs no allocations and no per-call sorting.
+// The kernel reads both chunks through their cached columns
+// (array.Chunk.Columns): every cell's coordinates are decoded once per
+// chunk, not once per visit, and a tuple is fetched from the cell map only
+// for a cell that matched. Every per-cell step runs out of a pooled
+// scratch, so the steady-state inner loop performs no allocations and no
+// per-call sorting. Joining chunks shared between goroutines requires them
+// to be warmed (array.Chunk.Warm) first, since the first join would
+// otherwise build the columns.
 func (p Pred) JoinChunkPair(ca, cb *array.Chunk, emit func(a, b array.Point, ta, tb array.Tuple) bool) {
 	if ca.NumCells() == 0 || cb.NumCells() == 0 {
 		return
 	}
-	sc := getScratch(ca.Region().NumDims(), cb.Region().NumDims())
+	da := ca.Region().NumDims()
+	sc := getScratch(da, cb.Region().NumDims())
 	defer putScratch(sc)
 	p.Shape.BoxInto(sc.shLo, sc.shHi)
 	// Prune using the actual occupancy of ca, not just its chunk region:
@@ -110,45 +116,71 @@ func (p Pred) JoinChunkPair(ca, cb *array.Chunk, emit func(a, b array.Point, ta,
 			return
 		}
 	}
+	aOffs, aCoords := ca.Columns()
+	bOffs, bCoords := cb.Columns()
 	boxVol := p.Shape.BoxVolume()
-	probe := boxVol <= int64(cb.NumCells())*4
+	probe := boxVol <= int64(len(bOffs))*4
 	if probe {
 		// Probes address cb by local row-major offset, tracked incrementally
 		// from these strides. When the pair performs more probes than cb's
 		// region has cells, materializing the occupancy into a flat table
-		// pays for itself and replaces every map lookup with a slice load.
+		// pays for itself and replaces every missed map lookup with a slice
+		// load. The table is indexed by the offsets themselves, so it is
+		// used only when they all lie inside the region's volume (a decoded
+		// chunk's offsets are not otherwise checked).
 		vol := int64(1)
 		for i := rb.NumDims() - 1; i >= 0; i-- {
 			sc.stride[i] = vol
 			vol *= rb.Hi[i] - rb.Lo[i] + 1
 		}
-		if vol <= maxDenseVol && vol <= int64(ca.NumCells())*boxVol {
+		if vol <= maxDenseVol && vol <= int64(len(aOffs))*boxVol && bOffs[0] >= 0 && bOffs[len(bOffs)-1] < vol {
 			sc.prepDense(vol)
-			cb.EachSortedInto(sc.b, func(b array.Point, tb array.Tuple) bool {
-				idx := int64(0)
-				for i := range b {
-					idx += (b[i] - rb.Lo[i]) * sc.stride[i]
-				}
-				sc.tuples = append(sc.tuples, tb)
-				sc.dense[idx] = int32(len(sc.tuples))
-				return true
-			})
+			for _, off := range bOffs {
+				sc.dense[off] = true
+			}
 		}
 	}
-	stop := false
-	ca.EachSortedInto(sc.a, func(a array.Point, ta array.Tuple) bool {
+	for k, aOff := range aOffs {
+		sc.cur = alphaCell{chunk: ca, off: aOff, coord: aCoords[k*da : (k+1)*da]}
+		p.Mapping.MapInto(sc.cur.coord, sc.ma)
+		var more bool
 		if probe {
-			p.probeCell(sc, a, ta, cb, emit, &stop)
+			more = p.probeCell(sc, cb, emit)
 		} else {
-			p.scanCell(sc, a, ta, cb, emit, &stop)
+			more = p.scanCell(sc, cb, bOffs, bCoords, emit)
 		}
-		return !stop
-	})
+		if !more {
+			return
+		}
+	}
 }
 
-// probeCell enumerates shape offsets around M(a) and probes cb.
-func (p Pred) probeCell(sc *joinScratch, a array.Point, ta array.Tuple, cb *array.Chunk, emit func(a, b array.Point, ta, tb array.Tuple) bool, stop *bool) {
-	p.Mapping.MapInto(a, sc.ma)
+// alphaCell is the α cell a chunk-pair join is currently matching: where
+// its tuple lives and its row of the coordinate column.
+type alphaCell struct {
+	chunk   *array.Chunk
+	off     int64
+	coord   []int64
+	tuple   array.Tuple
+	fetched bool
+}
+
+// emitMatch hands the current α cell and the β cell at bOff, whose
+// coordinates are in sc.b, to emit. The α cell's tuple is fetched, and its
+// coordinates copied out of the chunk's column, on its first match only.
+func (sc *joinScratch) emitMatch(cb *array.Chunk, bOff int64, emit func(a, b array.Point, ta, tb array.Tuple) bool) bool {
+	if !sc.cur.fetched {
+		sc.cur.tuple, _ = sc.cur.chunk.GetOffset(sc.cur.off)
+		copy(sc.a, sc.cur.coord)
+		sc.cur.fetched = true
+	}
+	tb, _ := cb.GetOffset(bOff)
+	return emit(sc.a, sc.b, sc.cur.tuple, tb)
+}
+
+// probeCell enumerates shape offsets around M(a) for the current α cell and
+// probes cb, reporting false once emit stops the join.
+func (p Pred) probeCell(sc *joinScratch, cb *array.Chunk, emit func(a, b array.Point, ta, tb array.Tuple) bool) bool {
 	rb := cb.Region()
 	d := len(sc.ma)
 	// Candidate region: [M(a)+shLo, M(a)+shHi] ∩ cb's region.
@@ -162,7 +194,7 @@ func (p Pred) probeCell(sc *joinScratch, a array.Point, ta array.Tuple, cb *arra
 			hi = rb.Hi[i]
 		}
 		if lo > hi {
-			return
+			return true
 		}
 		sc.candLo[i], sc.candHi[i] = lo, hi
 	}
@@ -176,20 +208,14 @@ func (p Pred) probeCell(sc *joinScratch, a array.Point, ta array.Tuple, cb *arra
 			sc.off[i] = sc.b[i] - sc.ma[i]
 		}
 		if p.Shape.Contains(sc.off) {
-			var tb array.Tuple
-			var found bool
+			found := false
 			if sc.denseOK {
-				if k := sc.dense[idx]; k > 0 {
-					tb, found = sc.tuples[k-1], true
-				}
+				found = sc.dense[idx]
 			} else {
-				tb, found = cb.GetOffset(idx)
+				_, found = cb.GetOffset(idx)
 			}
-			if found {
-				if !emit(a, sc.b, ta, tb) {
-					*stop = true
-					return
-				}
+			if found && !sc.emitMatch(cb, idx, emit) {
+				return false
 			}
 		}
 		i := d - 1
@@ -203,27 +229,29 @@ func (p Pred) probeCell(sc *joinScratch, a array.Point, ta array.Tuple, cb *arra
 			idx -= (sc.candHi[i] - sc.candLo[i] + 1) * sc.stride[i]
 		}
 		if i < 0 {
-			return
+			return true
 		}
 	}
 }
 
-// scanCell scans cb's occupied cells and filters by the predicate.
-func (p Pred) scanCell(sc *joinScratch, a array.Point, ta array.Tuple, cb *array.Chunk, emit func(a, b array.Point, ta, tb array.Tuple) bool, stop *bool) {
-	p.Mapping.MapInto(a, sc.ma)
-	cb.EachSortedInto(sc.b, func(b array.Point, tb array.Tuple) bool {
-		for i := range b {
-			sc.off[i] = b[i] - sc.ma[i]
+// scanCell filters cb's coordinate column by the predicate around M(a) for
+// the current α cell, reporting false once emit stops the join.
+func (p Pred) scanCell(sc *joinScratch, cb *array.Chunk, bOffs, bCoords []int64, emit func(a, b array.Point, ta, tb array.Tuple) bool) bool {
+	d := len(sc.ma)
+	for j, bOff := range bOffs {
+		b := bCoords[j*d : (j+1)*d]
+		for i, v := range b {
+			sc.off[i] = v - sc.ma[i]
 		}
 		if !p.Shape.Contains(sc.off) {
-			return true
+			continue
 		}
-		if !emit(a, b, ta, tb) {
-			*stop = true
+		copy(sc.b, b)
+		if !sc.emitMatch(cb, bOff, emit) {
 			return false
 		}
-		return true
-	})
+	}
+	return true
 }
 
 // JoinArrays runs the similarity join between two in-memory arrays,

@@ -7,13 +7,14 @@ import (
 )
 
 // joinScratch holds every buffer one chunk-pair join needs: the α/β cell
-// coordinates of the iteration, the mapped α coordinate M(a), the offset
+// coordinates handed to emit, the mapped α coordinate M(a), the offset
 // vector handed to Shape.Contains, the shape bounding box (fetched once per
 // pair), the mapped bounding-box corners of the occupancy prune, and the
 // candidate-region cursor bounds of the probe path. Scratches are pooled so
 // steady-state joins allocate nothing.
 type joinScratch struct {
-	a, b   array.Point // α and β cell buffers
+	cur    alphaCell   // the α cell being matched
+	a, b   array.Point // α and β cell buffers passed to emit
 	ma     array.Point // M(a), recomputed per α cell
 	off    []int64     // b - M(a), tested against the shape
 	shLo   []int64     // shape box, cached per pair
@@ -26,16 +27,15 @@ type joinScratch struct {
 	// Probe-path offset addressing: stride holds cb's row-major strides so
 	// the cursor loop tracks the β local offset incrementally. When the
 	// pair's probe count justifies it (denseOK), cb's occupancy is
-	// materialized once into dense — tuple index + 1 per local offset, 0
-	// for empty — so each probe is one slice load instead of a map lookup.
+	// materialized once into dense — one flag per local offset — so a
+	// probe that misses is one slice load instead of a map lookup.
 	stride  []int64
-	dense   []int32
-	tuples  []array.Tuple
+	dense   []bool
 	denseOK bool
 }
 
 // maxDenseVol caps the region volume materialized into the dense probe
-// table (4 MiB of int32 slots); larger chunks fall back to map probing.
+// table (1 MiB of flags); larger chunks fall back to map probing.
 const maxDenseVol = 1 << 20
 
 var scratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
@@ -60,10 +60,9 @@ func getScratch(da, db int) *joinScratch {
 }
 
 func putScratch(sc *joinScratch) {
-	// Drop the dense table's references to chunk-owned tuples so a pooled
-	// scratch does not pin the last joined chunk in memory.
-	clear(sc.tuples)
-	sc.tuples = sc.tuples[:0]
+	// Drop the references to the last α cell so a pooled scratch does not
+	// pin the joined chunk in memory.
+	sc.cur = alphaCell{}
 	scratchPool.Put(sc)
 }
 
@@ -71,12 +70,11 @@ func putScratch(sc *joinScratch) {
 // cells.
 func (sc *joinScratch) prepDense(vol int64) {
 	if int64(cap(sc.dense)) < vol {
-		sc.dense = make([]int32, vol)
+		sc.dense = make([]bool, vol)
 	} else {
 		sc.dense = sc.dense[:vol]
 		clear(sc.dense)
 	}
-	sc.tuples = sc.tuples[:0]
 	sc.denseOK = true
 }
 
