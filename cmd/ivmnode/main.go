@@ -17,6 +17,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/arrayview/arrayview/internal/obs"
 	"github.com/arrayview/arrayview/internal/storage"
 	"github.com/arrayview/arrayview/internal/transport"
 )
@@ -53,7 +54,7 @@ func run(listen, metrics string, idleTimeout, writeTimeout, statsEvery time.Dura
 	fmt.Printf("ivmnode: serving on %s\n", srv.Addr())
 
 	if metrics != "" {
-		ms, err := transport.StartMetrics(metrics, srv)
+		ms, err := obs.StartMetrics(metrics, func() any { return srv.Stats() })
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}

@@ -36,45 +36,53 @@ import (
 	"github.com/arrayview/arrayview/internal/workload"
 )
 
+// options are the daemon's settings, one field per flag.
+type options struct {
+	dataset, mode, strategy string
+	small, distributed      bool
+	connect                 string
+	listen, metrics         string
+	dataDir                 string
+	interval                time.Duration
+	streamed, adaptive      bool
+	batches                 int
+	serve                   serve.Config
+}
+
 func main() {
-	var (
-		dataset  = flag.String("dataset", "PTF-5", "PTF-5|PTF-25|GEO")
-		modeName = flag.String("mode", "", "real|random|correlated|periodic")
-		strategy = flag.String("strategy", "reassign", "baseline|differential|reassign")
-		small    = flag.Bool("small", true, "use the test-scale dataset")
-		distrib  = flag.Bool("distributed", false, "run the data plane over TCP node daemons instead of in-process stores")
-		connect  = flag.String("connect", "", "comma-separated ivmnode addresses (with -distributed; default: spawn loopback daemons)")
-		listen   = flag.String("listen", "127.0.0.1:7420", "query-serving listen address")
-		interval = flag.Duration("interval", 500*time.Millisecond, "delay between background maintenance batches (0 disables maintenance)")
-		streamed = flag.Bool("stream", false, "maintain through the pipelined streaming graph instead of batch-at-a-time (self-join views only)")
-		adaptive = flag.Bool("adaptive", false, "heavy-light adaptive maintenance: eager hot chunks, lazy cold chunks materialized on query touch (self-join views only)")
-		metrics  = flag.String("metrics", "", "serve JSON health metrics over HTTP on this address (host:port; empty disables)")
-		batches  = flag.Int("batches", 0, "limit background batches (default: all, then idle)")
-		conc     = flag.Int("concurrency", 0, "max concurrent queries (default 8)")
-		queue    = flag.Int("queue", 0, "admission queue depth (default 2x concurrency)")
-		qtimeout = flag.Duration("qtimeout", 0, "per-query deadline (default 30s)")
-		dataDir  = flag.String("data-dir", "", "WAL-backed durable chunk store directory; recovers committed state on startup (in-process stores only)")
-		vcache   = flag.Int64("view-cache", 0, "assembled-view cache budget in bytes (default 256MiB; negative disables view caching)")
-		joinW    = flag.Int("join-workers", 0, "snapshot-join fan-out width (default GOMAXPROCS; 1 forces serial)")
-		coldPath = flag.Bool("no-fastpath", false, "disable the query fast path (view cache, plan memo, parallel joins)")
-	)
+	var o options
+	flag.StringVar(&o.dataset, "dataset", "PTF-5", "PTF-5|PTF-25|GEO")
+	flag.StringVar(&o.mode, "mode", "", "real|random|correlated|periodic")
+	flag.StringVar(&o.strategy, "strategy", "reassign", "baseline|differential|reassign")
+	flag.BoolVar(&o.small, "small", true, "use the test-scale dataset")
+	flag.BoolVar(&o.distributed, "distributed", false, "run the data plane over TCP node daemons instead of in-process stores")
+	flag.StringVar(&o.connect, "connect", "", "comma-separated ivmnode addresses (with -distributed; default: spawn loopback daemons)")
+	flag.StringVar(&o.listen, "listen", "127.0.0.1:7420", "query-serving listen address")
+	flag.DurationVar(&o.interval, "interval", 500*time.Millisecond, "delay between background maintenance batches (0 disables maintenance)")
+	flag.BoolVar(&o.streamed, "stream", false, "maintain through the pipelined streaming graph instead of batch-at-a-time (self-join views only)")
+	flag.BoolVar(&o.adaptive, "adaptive", false, "heavy-light adaptive maintenance: eager hot chunks, lazy cold chunks materialized on query touch (self-join views only)")
+	flag.StringVar(&o.metrics, "metrics", "", "serve JSON health metrics over HTTP on this address (host:port; empty disables)")
+	flag.IntVar(&o.batches, "batches", 0, "limit background batches (default: all, then idle)")
+	flag.IntVar(&o.serve.MaxConcurrent, "concurrency", 0, "max concurrent queries (default 8)")
+	flag.IntVar(&o.serve.QueueDepth, "queue", 0, "admission queue depth (default 2x concurrency)")
+	flag.DurationVar(&o.serve.QueryTimeout, "qtimeout", 0, "per-query deadline (default 30s)")
+	flag.StringVar(&o.dataDir, "data-dir", "", "WAL-backed durable chunk store directory; recovers committed state on startup (in-process stores only)")
+	flag.Int64Var(&o.serve.ViewCacheBytes, "view-cache", 0, "assembled-view cache budget in bytes (default 256MiB; negative disables view caching)")
+	flag.IntVar(&o.serve.JoinWorkers, "join-workers", 0, "snapshot-join fan-out width (default GOMAXPROCS; 1 forces serial)")
+	flag.BoolVar(&o.serve.DisableFastPath, "no-fastpath", false, "disable the query fast path (view cache, plan memo, parallel joins)")
 	flag.Parse()
 
-	if err := run(*dataset, *modeName, *strategy, *small, *distrib, *connect,
-		*listen, *metrics, *dataDir, *interval, *streamed, *adaptive, *batches, *conc, *queue, *qtimeout,
-		*vcache, *joinW, *coldPath); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "ivmserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset, modeName, strategy string, small, distrib bool, connect,
-	listen, metrics, dataDir string, interval time.Duration, streamed, adaptive bool, batches, conc, queue int, qtimeout time.Duration,
-	vcache int64, joinWorkers int, noFastPath bool) error {
-	if dataDir != "" && distrib {
+func run(o options) error {
+	if o.dataDir != "" && o.distributed {
 		return fmt.Errorf("-data-dir journals in-process stores; it cannot be combined with -distributed")
 	}
-	ds, err := bench.ParseDataset(dataset)
+	ds, err := bench.ParseDataset(o.dataset)
 	if err != nil {
 		return err
 	}
@@ -82,17 +90,17 @@ func run(dataset, modeName, strategy string, small, distrib bool, connect,
 	if ds == bench.GEO {
 		mode = workload.Random
 	}
-	if modeName != "" {
-		if mode, err = workload.ParseMode(modeName); err != nil {
+	if o.mode != "" {
+		if mode, err = workload.ParseMode(o.mode); err != nil {
 			return err
 		}
 	}
-	planner, ok := maintain.Strategies()[strategy]
+	planner, ok := maintain.Strategies()[o.strategy]
 	if !ok {
-		return fmt.Errorf("unknown strategy %q", strategy)
+		return fmt.Errorf("unknown strategy %q", o.strategy)
 	}
 	var spec bench.Spec
-	if small {
+	if o.small {
 		spec = bench.SmallSpec(ds, mode)
 	} else {
 		spec = bench.DefaultSpec(ds, mode)
@@ -107,14 +115,14 @@ func run(dataset, modeName, strategy string, small, distrib bool, connect,
 	// here on is durable against kill -9.
 	var dur *wal.Durable
 	var rec *wal.Recovered
-	if dataDir != "" {
-		if dur, rec, err = wal.Open(wal.NewOSFS(dataDir), spec.Nodes, wal.Options{}); err != nil {
+	if o.dataDir != "" {
+		if dur, rec, err = wal.Open(wal.NewOSFS(o.dataDir), spec.Nodes, wal.Options{}); err != nil {
 			return fmt.Errorf("durable store: %w", err)
 		}
 	}
 	var cl *cluster.Cluster
-	if distrib {
-		cl, err = distributedCluster(spec, connect)
+	if o.distributed {
+		cl, err = distributedCluster(spec, o.connect)
 	} else {
 		cl, err = spec.Cluster()
 	}
@@ -141,7 +149,7 @@ func run(dataset, modeName, strategy string, small, distrib bool, connect,
 			applied = len(data.Batches)
 		}
 		fmt.Printf("recovered %s at barrier %d (%s), %d batches applied, epoch %d\n",
-			dataDir, rec.Seq, rec.Kind, rec.Applied, rec.Epoch)
+			o.dataDir, rec.Seq, rec.Kind, rec.Applied, rec.Epoch)
 	} else {
 		if err := cl.LoadArray(data.Base, &cluster.RoundRobin{}); err != nil {
 			return err
@@ -155,15 +163,8 @@ func run(dataset, modeName, strategy string, small, distrib bool, connect,
 			return fmt.Errorf("durable store: %w", err)
 		}
 	}
-	if streamed && !def.SelfJoin() {
-		return fmt.Errorf("-stream supports self-join views only (use a PTF dataset)")
-	}
-	if adaptive && !def.SelfJoin() {
-		return fmt.Errorf("-adaptive supports self-join views only (use a PTF dataset)")
-	}
-	m, err := maintain.NewMaintainer(cl, def, planner, spec.Params)
-	if err != nil {
-		return err
+	if (o.streamed || o.adaptive) && !def.SelfJoin() {
+		return fmt.Errorf("-stream and -adaptive support self-join views only (use a PTF dataset)")
 	}
 	eng, err := query.NewEngine(cl, def, spec.Params)
 	if err != nil {
@@ -175,7 +176,7 @@ func run(dataset, modeName, strategy string, small, distrib bool, connect,
 	// pay-on-read.
 	var am *maintain.AdaptiveMaintainer
 	counters := &obs.AdaptiveCounters{}
-	if adaptive {
+	if o.adaptive {
 		cfg := maintain.DefaultAdaptiveConfig()
 		cfg.Project = maintain.DropDims(0)
 		cfg.Counters = counters
@@ -186,26 +187,35 @@ func run(dataset, modeName, strategy string, small, distrib bool, connect,
 		eng.Fresh = am.EnsureFresh
 	}
 
-	srv := serve.NewServer(eng, &serve.Config{
-		MaxConcurrent:   conc,
-		QueueDepth:      queue,
-		QueryTimeout:    qtimeout,
-		ViewCacheBytes:  vcache,
-		JoinWorkers:     joinWorkers,
-		DisableFastPath: noFastPath,
-	})
+	toRun := data.Batches
+	if o.batches > 0 && o.batches < len(toRun) {
+		toRun = toRun[:o.batches]
+	}
+	total := len(toRun)
+	toRun = toRun[min(applied, total):]
+	var feed feeder
+	if o.streamed {
+		feed, err = streamedFeeder(cl, def, planner, am, spec.Params, total)
+	} else {
+		feed, err = batchFeeder(cl, def, planner, am, spec.Params, total)
+	}
+	if err != nil {
+		return err
+	}
+
+	srv := serve.NewServer(eng, &o.serve)
 	if am != nil {
 		srv.SetFresh(am.EnsureFresh, counters)
 	}
 	if dur != nil {
 		srv.SetDurable(dur.Counters())
 	}
-	if err := srv.Listen(listen); err != nil {
+	if err := srv.Listen(o.listen); err != nil {
 		return err
 	}
 	defer srv.Close()
-	if metrics != "" {
-		ms, err := serve.StartMetrics(metrics, srv)
+	if o.metrics != "" {
+		ms, err := obs.StartMetrics(o.metrics, func() any { return srv.Stats() })
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
@@ -218,67 +228,26 @@ func run(dataset, modeName, strategy string, small, distrib bool, connect,
 	fmt.Printf("serving queries on %s at epoch %d\n", srv.Addr(), cl.Epochs().Current())
 
 	// Background maintenance: each batch commits and publishes a new epoch
-	// while queries keep answering against their pinned snapshots.
+	// while queries keep answering against their pinned snapshots. One loop
+	// feeds every maintenance mode; the mode is the feeder behind it.
 	stop := make(chan struct{})
 	maintDone := make(chan struct{})
 	go func() {
 		defer close(maintDone)
-		if interval <= 0 {
-			return
-		}
-		toRun := data.Batches
-		if batches > 0 && batches < len(toRun) {
-			toRun = toRun[:batches]
-		}
-		total := len(toRun)
-		if applied >= total {
-			toRun = nil
-		} else {
-			toRun = toRun[applied:]
-		}
-		if streamed {
-			runStreamed(cl, def, planner, am, spec, toRun, applied, total, interval, stop)
+		defer feed.drain()
+		if o.interval <= 0 {
 			return
 		}
 		for i, b := range toRun {
-			n := applied + i + 1
 			select {
 			case <-stop:
 				return
-			case <-time.After(interval):
+			case <-time.After(o.interval):
 			}
-			var before uint64
-			if dur != nil {
-				before = dur.Applied()
+			if err := feed.submit(applied+i+1, b); err != nil {
+				fmt.Fprintf(os.Stderr, "ivmserve: submit %d: %v\n", applied+i+1, err)
+				return
 			}
-			if am != nil {
-				if rep, err := am.ApplyBatch(b); err != nil {
-					fmt.Fprintf(os.Stderr, "ivmserve: batch %d failed (rolled back): %v\n", n, err)
-				} else {
-					fmt.Printf("batch %d/%d committed; epoch %d (%d eager, %d deferred)\n",
-						n, total, cl.Epochs().Current(), rep.HeavyChunks, rep.LightChunks)
-				}
-			} else if _, err := m.ApplyBatch(b); err != nil {
-				fmt.Fprintf(os.Stderr, "ivmserve: batch %d failed (rolled back): %v\n", n, err)
-			} else {
-				fmt.Printf("batch %d/%d committed; epoch %d\n", n, total, cl.Epochs().Current())
-			}
-			if dur != nil && dur.Applied() == before {
-				// The batch terminated without a retiring barrier — it
-				// failed (rolled back) or was a no-op that wrote no barrier
-				// at all. Record the skip so a restart resumes after it
-				// rather than replaying it against state that has moved on.
-				if err := dur.RetireBarrier(); err != nil {
-					fmt.Fprintf(os.Stderr, "ivmserve: batch %d skip barrier: %v\n", n, err)
-				}
-			}
-		}
-		fmt.Printf("maintenance drained: %d batches applied\n", len(toRun))
-		if am != nil {
-			st := am.Stats()
-			fmt.Printf("adaptive: heavy=%d/%d pending=%d entries (%d cells) memo=%d/%d hits/misses\n",
-				st.HeavyClasses, st.SeenClasses, st.Pending.Entries, st.Pending.Cells,
-				st.Memo.Hits, st.Memo.Misses)
 		}
 	}()
 
@@ -317,61 +286,120 @@ func run(dataset, modeName, strategy string, small, distrib bool, connect,
 	return nil
 }
 
-// runStreamed feeds the background batches through the pipelined operator
-// graph instead of batch-at-a-time maintenance: later batches enter the
-// transfer stage while earlier ones are still joining, commits stay in
-// admission order, and queries keep serving from pinned snapshots
-// throughout. On shutdown the pipeline drains in-flight batches and prints
-// its per-stage counters.
-func runStreamed(cl *cluster.Cluster, def *view.Definition, planner maintain.Planner,
-	am *maintain.AdaptiveMaintainer, spec bench.Spec, toRun []*array.Array, applied, total int, interval time.Duration, stop <-chan struct{}) {
+// feeder is one maintenance mode as the feed loop sees it. submit hands input
+// batch n to the engine, which reports the batch's outcome (reportBatch) —
+// before submit returns, or when its ticket resolves; an error means the
+// engine takes no more batches. drain waits for everything submitted and
+// prints the mode's summary.
+type feeder struct {
+	submit func(n int, b *array.Array) error
+	drain  func()
+}
+
+// reportBatch prints one batch's terminal outcome: the same line for every
+// mode, plus the mode's detail.
+func reportBatch(n, total int, epoch uint64, detail string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ivmserve: batch %d failed (rolled back): %v\n", n, err)
+		return
+	}
+	fmt.Printf("batch %d/%d committed; epoch %d%s\n", n, total, epoch, detail)
+}
+
+// batchFeeder maintains batch-at-a-time: through the adaptive layer when
+// there is one, through an eager Maintainer otherwise. A batch that ends
+// without a retiring barrier — it failed (rolled back) or was a no-op — is
+// recorded as skipped, so a restart resumes after it.
+func batchFeeder(cl *cluster.Cluster, def *view.Definition, planner maintain.Planner,
+	am *maintain.AdaptiveMaintainer, params maintain.Params, total int) (feeder, error) {
+	apply := func(b *array.Array) (string, error) {
+		rep, err := am.ApplyBatch(b)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf(" (%d eager, %d deferred)", rep.HeavyChunks, rep.LightChunks), nil
+	}
+	if am == nil {
+		m, err := maintain.NewMaintainer(cl, def, planner, params)
+		if err != nil {
+			return feeder{}, err
+		}
+		apply = func(b *array.Array) (string, error) {
+			_, err := m.ApplyBatch(b)
+			return "", err
+		}
+	}
+	done := 0
+	return feeder{
+		submit: func(n int, b *array.Array) error {
+			done++
+			if err := maintain.RetireSkipped(cl, func() {
+				detail, err := apply(b)
+				reportBatch(n, total, cl.Epochs().Current(), detail, err)
+			}); err != nil {
+				fmt.Fprintf(os.Stderr, "ivmserve: batch %d skip barrier: %v\n", n, err)
+			}
+			return nil
+		},
+		drain: func() {
+			fmt.Printf("maintenance drained: %d batches applied\n", done)
+			if am != nil {
+				st := am.Stats()
+				fmt.Printf("adaptive: heavy=%d/%d pending=%d entries (%d cells) memo=%d/%d hits/misses\n",
+					st.HeavyClasses, st.SeenClasses, st.Pending.Entries, st.Pending.Cells,
+					st.Memo.Hits, st.Memo.Misses)
+			}
+		},
+	}, nil
+}
+
+// streamedFeeder maintains through the pipelined operator graph: later
+// batches enter the transfer stage while earlier ones are still joining,
+// commits stay in admission order, and queries keep serving from pinned
+// snapshots throughout. Draining flushes the in-flight batches and prints the
+// per-stage counters.
+func streamedFeeder(cl *cluster.Cluster, def *view.Definition, planner maintain.Planner,
+	am *maintain.AdaptiveMaintainer, params maintain.Params, total int) (feeder, error) {
 	g, err := stream.NewGraph(stream.Config{
 		Cluster:        cl,
 		Def:            def,
 		Planner:        planner,
-		Params:         spec.Params,
+		Params:         params,
 		ArrayPlacement: &cluster.RoundRobin{},
 		ViewPlacement:  &cluster.RoundRobin{},
 		Adaptive:       am,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ivmserve: streaming graph: %v\n", err)
-		return
+		return feeder{}, fmt.Errorf("streaming graph: %w", err)
 	}
-	var wg sync.WaitGroup
-feed:
-	for i, b := range toRun {
-		select {
-		case <-stop:
-			break feed
-		case <-time.After(interval):
-		}
-		tk, err := g.Submit(b)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ivmserve: submit %d: %v\n", applied+i+1, err)
-			break
-		}
-		wg.Add(1)
-		go func(n int, tk *stream.Ticket) {
-			defer wg.Done()
-			res := tk.Wait()
-			if res.Err != nil {
-				fmt.Fprintf(os.Stderr, "ivmserve: batch %d failed (rolled back): %v\n", n, res.Err)
-				return
+	var reports sync.WaitGroup
+	return feeder{
+		submit: func(n int, b *array.Array) error {
+			tk, err := g.Submit(b)
+			if err != nil {
+				return err
 			}
-			fmt.Printf("batch %d/%d committed; epoch %d (plan %s, %d retries)\n",
-				n, total, res.Epoch, map[bool]string{true: "reused", false: "solved"}[res.Reused], res.Retries)
-		}(applied+i+1, tk)
-	}
-	g.Drain()
-	wg.Wait()
-	st := g.Stats()
-	fmt.Printf("pipeline drained: solves=%d reuses=%d retries=%d aborts=%d\n",
-		st.Router.Solves, st.Router.Reuses, st.Retries, st.Aborts)
-	for _, sg := range st.Stages {
-		fmt.Printf("  stage %-9s entered=%d done=%d stalls=%d stall=%.3fs busy=%.3fs\n",
-			sg.Name, sg.Entered, sg.Done, sg.Stalls, sg.StallSeconds, sg.BusySeconds)
-	}
+			reports.Add(1)
+			go func() {
+				defer reports.Done()
+				res := tk.Wait()
+				plan := map[bool]string{true: "reused", false: "solved"}[res.Reused]
+				reportBatch(n, total, res.Epoch, fmt.Sprintf(" (plan %s, %d retries)", plan, res.Retries), res.Err)
+			}()
+			return nil
+		},
+		drain: func() {
+			g.Drain()
+			reports.Wait()
+			st := g.Stats()
+			fmt.Printf("pipeline drained: solves=%d reuses=%d retries=%d aborts=%d\n",
+				st.Router.Solves, st.Router.Reuses, st.Retries, st.Aborts)
+			for _, sg := range st.Stages {
+				fmt.Printf("  stage %-9s entered=%d done=%d stalls=%d stall=%.3fs busy=%.3fs\n",
+					sg.Name, sg.Entered, sg.Done, sg.Stalls, sg.StallSeconds, sg.BusySeconds)
+			}
+		},
+	}, nil
 }
 
 // distributedCluster builds a cluster whose data plane is a TCPFabric:

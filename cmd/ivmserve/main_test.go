@@ -14,15 +14,37 @@ import (
 	"github.com/arrayview/arrayview/internal/workload"
 )
 
-// SIGTERM mid-workload loses zero committed batches: the daemon drains the
-// in-flight batch, fsyncs the WAL, and exits; reopening the data directory
-// recovers exactly the batches whose commits it had acknowledged.
+// SIGTERM mid-workload loses zero committed batches, whichever engine sits
+// behind the daemon's feed loop: the daemon drains the in-flight batches
+// (the streaming sink, the adaptive layer's pending log), fsyncs the WAL,
+// and exits; reopening the data directory recovers exactly the batches whose
+// commits it had acknowledged.
 func TestSigtermLosesNoCommittedBatches(t *testing.T) {
-	dir := t.TempDir()
+	for _, tc := range []struct {
+		name               string
+		streamed, adaptive bool
+	}{
+		{name: "eager"},
+		{name: "stream", streamed: true},
+		{name: "adaptive", adaptive: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sigtermLosesNoCommittedBatches(t, options{
+				dataset: "PTF-5", strategy: "reassign", small: true,
+				listen: "127.0.0.1:0", dataDir: t.TempDir(),
+				streamed: tc.streamed, adaptive: tc.adaptive,
+			})
+		})
+	}
+}
+
+func sigtermLosesNoCommittedBatches(t *testing.T, o options) {
+	dir := o.dataDir
 	done := make(chan error, 1)
 	go func() {
-		done <- run("PTF-5", "", "reassign", true, false, "",
-			"127.0.0.1:0", "", dir, 120*time.Millisecond, false, false, 0, 0, 0, 0, 0, 0, false)
+		o := o
+		o.interval = 120 * time.Millisecond
+		done <- run(o)
 	}()
 	// Let some batches commit, then terminate mid-workload. run's
 	// signal.Notify intercepts the process-wide SIGTERM.
@@ -112,8 +134,9 @@ func TestSigtermLosesNoCommittedBatches(t *testing.T) {
 	// Restart on the same directory: the daemon recovers, resumes after
 	// batch k, and finishes the workload.
 	go func() {
-		done <- run("PTF-5", "", "reassign", true, false, "",
-			"127.0.0.1:0", "", dir, 10*time.Millisecond, false, false, 0, 0, 0, 0, 0, 0, false)
+		o := o
+		o.interval = 10 * time.Millisecond
+		done <- run(o)
 	}()
 	deadline := time.Now().Add(30 * time.Second)
 	for {

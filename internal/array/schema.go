@@ -184,15 +184,6 @@ func (s *Schema) Contains(p Point) bool {
 	return true
 }
 
-// ChunkShape returns the per-dimension chunk sizes.
-func (s *Schema) ChunkShape() []int64 {
-	shape := make([]int64, len(s.Dims))
-	for i, d := range s.Dims {
-		shape[i] = d.ChunkSize
-	}
-	return shape
-}
-
 // NumChunks returns the total number of chunk slots in the domain (occupied
 // or not).
 func (s *Schema) NumChunks() int64 {

@@ -37,7 +37,7 @@ type PendingLog struct {
 	seqs  map[int]int // distinct batch seqs outstanding → entry count
 	cells int
 
-	appended, materialized, drained int64
+	appended, materialized int64
 }
 
 // NewPendingLog returns an empty log.
@@ -82,37 +82,6 @@ func (l *PendingLog) EntriesFor(key array.ChunkKey) (entries, cells int) {
 		cells += e.Cells
 	}
 	return entries, cells
-}
-
-// OldestSeq returns the smallest batch seq with outstanding entries;
-// ok=false when the log is empty.
-func (l *PendingLog) OldestSeq() (seq int, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	first := true
-	for s := range l.seqs {
-		if first || s < seq {
-			seq, first = s, false
-		}
-	}
-	return seq, !first
-}
-
-// KeysAtSeq returns the keys holding entries from the given batch seq.
-func (l *PendingLog) KeysAtSeq(seq int) []array.ChunkKey {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var keys []array.ChunkKey
-	for k, es := range l.byKey {
-		for _, e := range es {
-			if e.Seq == seq {
-				keys = append(keys, k)
-				break
-			}
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 // Take removes and returns every entry for the given keys, ordered by
@@ -184,14 +153,14 @@ func (l *PendingLog) Entries() []PendingEntry {
 
 // Reset replaces the log's contents with the given snapshot (recovery
 // path). Counters restart from the snapshot: appended equals the entry
-// count, materialized and drained are zeroed.
+// count, materialized is zeroed.
 func (l *PendingLog) Reset(entries []PendingEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.byKey = make(map[array.ChunkKey][]PendingEntry)
 	l.seqs = make(map[int]int)
 	l.cells = 0
-	l.appended, l.materialized, l.drained = int64(len(entries)), 0, 0
+	l.appended, l.materialized = int64(len(entries)), 0
 	for _, e := range entries {
 		e.Cells = e.Chunk.NumCells()
 		l.byKey[e.Key] = append(l.byKey[e.Key], e)
@@ -204,14 +173,6 @@ func (l *PendingLog) Reset(entries []PendingEntry) {
 	}
 }
 
-// MarkDrained counts entries materialized by the background drainer rather
-// than a query or conflict (observability only).
-func (l *PendingLog) MarkDrained(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.drained += int64(n)
-}
-
 // PendingStats is a point-in-time snapshot of the log.
 type PendingStats struct {
 	Chunks       int
@@ -220,7 +181,6 @@ type PendingStats struct {
 	Batches      int // distinct batch seqs outstanding
 	Appended     int64
 	Materialized int64
-	Drained      int64
 }
 
 // Stats snapshots the log counters.
@@ -238,7 +198,6 @@ func (l *PendingLog) Stats() PendingStats {
 		Batches:      len(l.seqs),
 		Appended:     l.appended,
 		Materialized: l.materialized,
-		Drained:      l.drained,
 	}
 }
 

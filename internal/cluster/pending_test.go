@@ -52,15 +52,6 @@ func TestPendingLogAppendTakeOrder(t *testing.T) {
 	if n, cells := l.EntriesFor(ky); n != 2 || cells != 3 {
 		t.Fatalf("EntriesFor(y) = %d entries / %d cells, want 2/3", n, cells)
 	}
-	if seq, ok := l.OldestSeq(); !ok || seq != 1 {
-		t.Fatalf("OldestSeq = %d/%v, want 1/true", seq, ok)
-	}
-	if got := l.KeysAtSeq(1); len(got) != 2 {
-		t.Fatalf("KeysAtSeq(1) = %v, want both keys", got)
-	}
-	if got := l.KeysAtSeq(3); len(got) != 1 || got[0] != ky {
-		t.Fatalf("KeysAtSeq(3) = %v, want [%v]", got, ky)
-	}
 
 	// Take returns everything for the keys ordered by seq ascending —
 	// original batch order, which is what materialization must replay.
@@ -75,9 +66,6 @@ func TestPendingLogAppendTakeOrder(t *testing.T) {
 	}
 	if out[3].Seq != 3 || out[3].Epoch != 9 {
 		t.Fatalf("last entry %+v, want seq 3 epoch 9", out[3])
-	}
-	if _, ok := l.OldestSeq(); ok {
-		t.Fatal("OldestSeq reports entries on a drained log")
 	}
 	st := l.Stats()
 	if st.Entries != 0 || st.Cells != 0 || st.Appended != 4 || st.Materialized != 4 {
@@ -112,11 +100,8 @@ func TestPendingLogRestoreAfterFailedReplay(t *testing.T) {
 	}
 }
 
-func TestPendingLogStatsAndDrainCounter(t *testing.T) {
+func TestPendingLogStats(t *testing.T) {
 	l := NewPendingLog()
-	if _, ok := l.OldestSeq(); ok {
-		t.Fatal("empty log reports an oldest seq")
-	}
 	c1, k1 := pendingChunk(t, array.Point{0, 0}, array.Point{1, 1})
 	c2, k2 := pendingChunk(t, array.Point{4, 4})
 	l.Append(PendingEntry{Seq: 1, Key: k1, Chunk: c1, Epoch: 1})
@@ -129,10 +114,6 @@ func TestPendingLogStatsAndDrainCounter(t *testing.T) {
 	keys := l.Keys()
 	if len(keys) != 2 || keys[0] > keys[1] {
 		t.Fatalf("Keys() not sorted: %v", keys)
-	}
-	l.MarkDrained(2)
-	if st := l.Stats(); st.Drained != 2 {
-		t.Errorf("drained counter %d, want 2", st.Drained)
 	}
 
 	// The catalog owns one log, created on first use.

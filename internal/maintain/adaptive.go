@@ -37,8 +37,8 @@ type AdaptiveConfig struct {
 	// when 0).
 	MemoCap int
 
-	// Counters, when non-nil, receives the layer's observability gauges
-	// and counters.
+	// Counters receives the layer's observability gauges and counters; nil
+	// gets a private set nobody reads.
 	Counters *obs.AdaptiveCounters
 }
 
@@ -149,6 +149,9 @@ func NewAdaptiveMaintainer(cl *cluster.Cluster, def *view.Definition, planner Pl
 	if err := cls.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Counters == nil {
+		cfg.Counters = &obs.AdaptiveCounters{}
+	}
 	m.memo = NewJoinMemo(cfg.MemoCap)
 	m.scratch = NewPlanScratch(0)
 	return &AdaptiveMaintainer{
@@ -163,12 +166,11 @@ func NewAdaptiveMaintainer(cl *cluster.Cluster, def *view.Definition, planner Pl
 // Inner exposes the wrapped eager maintainer.
 func (a *AdaptiveMaintainer) Inner() *Maintainer { return a.m }
 
-// Classifier exposes the heavy-light classifier (for the stream router and
-// tests).
-func (a *AdaptiveMaintainer) Classifier() *Classifier { return a.cls }
-
-// Memo exposes the shared join-state cache.
-func (a *AdaptiveMaintainer) Memo() *JoinMemo { return a.m.memo }
+// ShareMemo makes another maintainer of the same view on the same cluster
+// (the streaming graph's) consult and fill this layer's join-state cache, so
+// the two paths reuse each other's join results. Call it before m's first
+// batch.
+func (a *AdaptiveMaintainer) ShareMemo(m *Maintainer) { m.memo = a.m.memo }
 
 func (a *AdaptiveMaintainer) pending() *cluster.PendingLog {
 	return a.m.cl.Catalog().Pending()
@@ -182,14 +184,20 @@ func (a *AdaptiveMaintainer) pending() *cluster.PendingLog {
 func (a *AdaptiveMaintainer) Observe(keys []array.ChunkKey) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.observe(keys)
+	a.publishGauges()
+}
+
+// observe counts every delta chunk toward its class's update frequency —
+// regardless of which path will handle it — and reclassifies.
+func (a *AdaptiveMaintainer) observe(keys []array.ChunkKey) (promoted, demoted int) {
 	classes := make([]array.ChunkKey, len(keys))
 	for i, k := range keys {
 		classes[i] = a.cls.ProjectKey(k)
 		a.seen[classes[i]] = true
 	}
 	a.m.history.RecordUpdates(classes)
-	a.cls.Reclassify(a.m.history.UpdateScores(a.m.params.Decay))
-	a.publishGauges()
+	return a.cls.Reclassify(a.m.history.UpdateScores(a.m.params.Decay))
 }
 
 // IsHeavy reports the current classification of a chunk key. Safe for
@@ -208,16 +216,7 @@ func (a *AdaptiveMaintainer) ApplyBatch(delta *array.Array) (*AdaptiveReport, er
 	a.seq++
 	seq := a.seq
 
-	// Observe and reclassify: every delta chunk counts toward its class's
-	// update frequency regardless of which path will handle it.
-	keys := delta.ChunkKeys()
-	classes := make([]array.ChunkKey, len(keys))
-	for i, k := range keys {
-		classes[i] = a.cls.ProjectKey(k)
-		a.seen[classes[i]] = true
-	}
-	a.m.history.RecordUpdates(classes)
-	rep.Promoted, rep.Demoted = a.cls.Reclassify(a.m.history.UpdateScores(a.m.params.Decay))
+	rep.Promoted, rep.Demoted = a.observe(delta.ChunkKeys())
 
 	// Split the batch. A chunk whose key already exists in the base (or in
 	// the pending log) is routed eagerly regardless of its class score:
@@ -275,9 +274,7 @@ func (a *AdaptiveMaintainer) ApplyBatch(delta *array.Array) (*AdaptiveReport, er
 	for _, c := range light {
 		a.pending().Append(cluster.PendingEntry{Seq: seq, Key: c.Key(), Chunk: c.Clone(), Epoch: epoch})
 	}
-	if a.cfg.Counters != nil {
-		a.cfg.Counters.Deferred.Add(int64(len(light)))
-	}
+	a.cfg.Counters.Deferred.Add(int64(len(light)))
 	// takeLight undoes the appends when the batch fails: the keys were
 	// fresh, never pending before, so Take removes exactly them — a failed
 	// batch leaves the deferred state exactly as it found it.
@@ -290,12 +287,10 @@ func (a *AdaptiveMaintainer) ApplyBatch(delta *array.Array) (*AdaptiveReport, er
 			lightKeys[i] = c.Key()
 		}
 		a.pending().Take(lightKeys)
-		if a.cfg.Counters != nil {
-			a.cfg.Counters.Deferred.Add(-int64(len(light)))
-		}
+		a.cfg.Counters.Deferred.Add(-int64(len(light)))
 	}
 	if rep.HeavyChunks > 0 {
-		hr, err := a.m.apply(heavy, nil, false, false, true)
+		hr, err := a.m.apply(Batch{Alpha: heavy})
 		if err != nil {
 			// The eager part rolled back; the batch's own light appends come
 			// out of the log, and the folded pending entries that rode in
@@ -303,9 +298,7 @@ func (a *AdaptiveMaintainer) ApplyBatch(delta *array.Array) (*AdaptiveReport, er
 			takeLight()
 			if len(folded) > 0 {
 				a.pending().Restore(folded)
-				if a.cfg.Counters != nil {
-					a.cfg.Counters.Drained.Add(-int64(len(folded)))
-				}
+				a.cfg.Counters.Drained.Add(-int64(len(folded)))
 			}
 			return nil, err
 		}
@@ -357,17 +350,11 @@ func (a *AdaptiveMaintainer) ApplyDelete(del *array.Array) (*AdaptiveReport, err
 	defer a.mu.Unlock()
 	rep := &AdaptiveReport{}
 	a.seq++
-	classes := make([]array.ChunkKey, 0, del.NumChunks())
-	for _, k := range del.ChunkKeys() {
-		classes = append(classes, a.cls.ProjectKey(k))
-		a.seen[a.cls.ProjectKey(k)] = true
-	}
-	a.m.history.RecordUpdates(classes)
-	rep.Promoted, rep.Demoted = a.cls.Reclassify(a.m.history.UpdateScores(a.m.params.Decay))
+	rep.Promoted, rep.Demoted = a.observe(del.ChunkKeys())
 	if err := a.materializeKeys(rep, a.pending().Keys()); err != nil {
 		return nil, err
 	}
-	hr, err := a.m.apply(del, nil, true, false, true)
+	hr, err := a.m.apply(Batch{Alpha: del, Deleting: true})
 	if err != nil {
 		return nil, err
 	}
@@ -391,51 +378,9 @@ func (a *AdaptiveMaintainer) EnsureFresh(ctx context.Context) error {
 	rep := &AdaptiveReport{}
 	err := a.materializeKeys(rep, keys)
 	if err == nil {
-		if a.cfg.Counters != nil {
-			a.cfg.Counters.LazyMats.Add(int64(rep.MaterializedEntries))
-			// materializeKeys booked them as drains; reclassify as lazy.
-			a.cfg.Counters.Drained.Add(-int64(rep.MaterializedEntries))
-		}
-		a.noteTouches(keys, rep)
-	}
-	a.publishGauges()
-	return err
-}
-
-// EnsureFreshRegion materializes only the pending chunks whose region
-// intersects r or its predicate reach (plus their reachable closure) — the
-// partial-gather form for callers that read a bounded region rather than
-// the whole view.
-func (a *AdaptiveMaintainer) EnsureFreshRegion(ctx context.Context, r array.Region) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	schema := a.m.cl.Catalog().Schema(a.m.def.Alpha.Name)
-	if schema == nil {
-		return fmt.Errorf("maintain: base array %q not registered", a.m.def.Alpha.Name)
-	}
-	pred := a.m.def.Pred
-	reach := pred.ReachRegion(r)
-	var keys []array.ChunkKey
-	for _, k := range a.pending().Keys() {
-		kr := schema.ChunkRegion(k.Coord())
-		if _, ok := kr.Intersect(r); ok {
-			keys = append(keys, k)
-			continue
-		}
-		if _, ok := kr.Intersect(reach); ok {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	rep := &AdaptiveReport{}
-	err := a.materializeKeys(rep, keys)
-	if err == nil {
-		if a.cfg.Counters != nil {
-			a.cfg.Counters.LazyMats.Add(int64(rep.MaterializedEntries))
-			a.cfg.Counters.Drained.Add(-int64(rep.MaterializedEntries))
-		}
+		a.cfg.Counters.LazyMats.Add(int64(rep.MaterializedEntries))
+		// materializeKeys booked them as drains; reclassify as lazy.
+		a.cfg.Counters.Drained.Add(-int64(rep.MaterializedEntries))
 		a.noteTouches(keys, rep)
 	}
 	a.publishGauges()
@@ -614,9 +559,7 @@ func (a *AdaptiveMaintainer) fenceConflicts(rep *AdaptiveReport, heavy *array.Ar
 		rep.HeavyChunks++
 	}
 	rep.MaterializedEntries += len(entries)
-	if a.cfg.Counters != nil {
-		a.cfg.Counters.Drained.Add(int64(len(entries)))
-	}
+	a.cfg.Counters.Drained.Add(int64(len(entries)))
 	return entries, nil
 }
 
@@ -665,7 +608,7 @@ func (a *AdaptiveMaintainer) materializeKeys(rep *AdaptiveReport, keys []array.C
 		if len(rest) > 0 {
 			a.pending().Restore(rest)
 		}
-		dr, err := a.m.apply(batch, nil, false, true, false)
+		dr, err := a.m.apply(Batch{Alpha: batch, Replay: true})
 		if err != nil {
 			// This seq rolled back; put it back too (the rest already is).
 			a.pending().Restore(group)
@@ -673,9 +616,7 @@ func (a *AdaptiveMaintainer) materializeKeys(rep *AdaptiveReport, keys []array.C
 		}
 		rep.Drains = append(rep.Drains, dr)
 		rep.MaterializedEntries += len(group)
-		if a.cfg.Counters != nil {
-			a.cfg.Counters.Drained.Add(int64(len(group)))
-		}
+		a.cfg.Counters.Drained.Add(int64(len(group)))
 		if len(rest) == 0 {
 			break
 		}
@@ -714,9 +655,6 @@ func (a *AdaptiveMaintainer) drainDebt(rep *AdaptiveReport) error {
 // publishGauges refreshes the gauge-style counters from current state.
 func (a *AdaptiveMaintainer) publishGauges() {
 	c := a.cfg.Counters
-	if c == nil {
-		return
-	}
 	st := a.pending().Stats()
 	heavy := a.cls.HeavyCount()
 	c.HeavyChunks.Store(int64(heavy))

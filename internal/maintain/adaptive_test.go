@@ -98,8 +98,8 @@ func TestHistoryTouchWindowTruncation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.RecordUpdates([]array.ChunkKey{ck(int64(i))})
 	}
-	if h.TouchLen() != 3 {
-		t.Fatalf("touch ring holds %d batches, want 3", h.TouchLen())
+	if len(h.touched) != 3 {
+		t.Fatalf("touch ring holds %d batches, want 3", len(h.touched))
 	}
 	scores := h.UpdateScores(0.5)
 	for _, evicted := range []array.ChunkKey{ck(0), ck(1)} {
@@ -150,7 +150,7 @@ func TestHistoryScoresDeterministicProperty(t *testing.T) {
 // --- Classifier --------------------------------------------------------------
 
 func TestClassifierHysteresis(t *testing.T) {
-	c := NewClassifier(1.0) // default hysteresis 0.5
+	c := &Classifier{HeavyThreshold: 1.0, Hysteresis: 0.5}
 	k := ck(1)
 	if p, _ := c.Reclassify(map[array.ChunkKey]float64{k: 0.9}); p != 0 || c.IsHeavy(k) {
 		t.Fatal("promoted below threshold")
@@ -208,7 +208,7 @@ func TestClassifierDropDimsProjection(t *testing.T) {
 }
 
 func TestClassifierPromoteIdempotent(t *testing.T) {
-	c := NewClassifier(2)
+	c := &Classifier{HeavyThreshold: 2, Hysteresis: 0.5}
 	if !c.Promote(ck(1)) {
 		t.Fatal("first promote reported already-heavy")
 	}
@@ -234,7 +234,7 @@ func TestClassifierValidate(t *testing.T) {
 			t.Errorf("case %d: Validate accepted %+v", i, c)
 		}
 	}
-	if err := NewClassifier(1.5).Validate(); err != nil {
+	if err := (&Classifier{HeavyThreshold: 1.5, Hysteresis: 0.5}).Validate(); err != nil {
 		t.Fatalf("default classifier rejected: %v", err)
 	}
 }
@@ -296,7 +296,7 @@ func TestPlanScratchReplayEquivalence(t *testing.T) {
 	clPlain, mPlain, _ := setupFig1(t, Differential{})
 	clCached, mCached, defCached := setupFig1(t, Differential{})
 	scratch := NewPlanScratch(0)
-	mCached.SetPlanScratch(scratch)
+	mCached.scratch = scratch
 
 	// Each round inserts fresh points into the same three chunks, so the
 	// delta footprint recurs while the workload stays insert-only (cell

@@ -45,12 +45,6 @@ type Classifier struct {
 	promotions, demotions int64
 }
 
-// NewClassifier returns a classifier with the given absolute threshold,
-// default hysteresis 0.5, and identity projection.
-func NewClassifier(threshold float64) *Classifier {
-	return &Classifier{HeavyThreshold: threshold, Hysteresis: 0.5}
-}
-
 // Validate reports whether the classifier's knobs are usable.
 func (c *Classifier) Validate() error {
 	for _, f := range []struct {

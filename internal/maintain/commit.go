@@ -442,7 +442,7 @@ func commitErase(ctx *Context, es *execState, cm *committer) error {
 // Cleanup runs after the commit point (or after a rollback), so failures
 // here must never change the batch's outcome; errors are swallowed.
 //
-// With es.keep installed (pipelined execution), replicas the predicate
+// With Context.KeepScratch installed (pipelined execution), replicas the predicate
 // claims survive the scrub, and the base arrays' replica records are left
 // intact instead of being cleared wholesale: in-flight successor batches
 // resolve transfer sources and failover reads from those records, and every
@@ -485,7 +485,7 @@ func cleanupBatch(ctx *Context, p *Plan, es *execState) {
 		if exists && to == home {
 			return // the scratch replica became the chunk's home; keep it
 		}
-		if es.keep != nil && es.keep(ref, to) {
+		if ctx.KeepScratch != nil && ctx.KeepScratch(ref, to) {
 			return // an in-flight successor batch claimed this replica
 		}
 		tasks[to] = append(tasks[to], func() error {
@@ -500,15 +500,21 @@ func cleanupBatch(ctx *Context, p *Plan, es *execState) {
 	for _, x := range es.extraShips() {
 		addScrub(x.ref, x.to)
 	}
-	_ = cl.RunPerNodeCtx(ctx.execContext(), tasks)
-	for _, dn := range es.deltaNames {
-		_, _ = cl.DropArrayAt(cluster.Coordinator, dn)
-		cat.Drop(dn)
-	}
-	if es.keep == nil {
+	_ = cl.RunPerNode(tasks)
+	dropDeltas(cl, es.deltaNames)
+	if ctx.KeepScratch == nil {
 		for _, name := range []string{ctx.BaseAlpha, ctx.BaseBeta} {
 			cat.ClearReplicas(name)
 		}
+	}
+}
+
+// dropDeltas removes staged delta namespaces from the coordinator's store and
+// the catalog, best-effort.
+func dropDeltas(cl *cluster.Cluster, names []string) {
+	for _, dn := range names {
+		_, _ = cl.DropArrayAt(cluster.Coordinator, dn)
+		cl.Catalog().Drop(dn)
 	}
 }
 

@@ -1,7 +1,6 @@
 package maintain
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -62,16 +61,20 @@ type Context struct {
 	// timings of Execute. A nil trace costs nothing.
 	Trace *obs.Trace
 
-	// Ctx, when non-nil, bounds the batch: cancellation or deadline expiry
-	// stops scheduling further work in the parallel phases, so a hung node
-	// fails the batch (atomically) instead of wedging it.
-	Ctx context.Context
-
 	// ScratchSuffix disambiguates the batch's shadow staging namespace
 	// ("<view>#stage<suffix>"). The batch-at-a-time path leaves it empty;
 	// the streaming pipeline gives every in-flight micro-batch its own
 	// suffix so concurrently staged partials never collide.
 	ScratchSuffix string
+
+	// KeepScratch, when non-nil, is consulted during cleanup (and abort): a
+	// scratch replica (array chunk at a node) for which it returns true
+	// survives the scrub, both physically and in the catalog. The streaming
+	// pipeline uses it to protect replicas that in-flight successor batches
+	// claimed for their own joins. Installing any predicate also preserves
+	// the base arrays' replica records wholesale (successors resolve sources
+	// from them).
+	KeepScratch func(ref view.ChunkRef, node int) bool
 
 	// RetireOnCommit marks this batch's durable commit barrier as retiring
 	// one top-level input batch: the barrier advances the applied-batch
@@ -89,14 +92,6 @@ type Context struct {
 // keeps it out of durable epoch snapshots (see cluster.durableName).
 func (c *Context) StagingName() string {
 	return c.ViewName + "#stage" + c.ScratchSuffix
-}
-
-// execContext returns the batch's context, defaulting to Background.
-func (c *Context) execContext() context.Context {
-	if c.Ctx != nil {
-		return c.Ctx
-	}
-	return context.Background()
 }
 
 // NewContext validates and completes a context.

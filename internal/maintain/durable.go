@@ -35,6 +35,35 @@ func durableCommit(cl *cluster.Cluster, retire bool) error {
 	return nil
 }
 
+// appliedSink is the optional capability of a durable sink that tracks the
+// applied input-batch cursor (implemented by wal.Durable).
+type appliedSink interface {
+	Applied() uint64
+	RetireBarrier() error
+}
+
+// RetireSkipped runs one input batch to its terminal state — apply, with
+// whatever retries the caller owns — and, when that ended without a retiring
+// commit barrier (every attempt failed, or the batch was a no-op that wrote
+// no barrier at all), records the consumed batch with a skip barrier, so a
+// restart resumes after it rather than replaying it against state that has
+// moved on. It returns the skip barrier's error; a caller may ignore it,
+// because resume then re-runs the batch from clean pre-batch state, which is
+// safe. Barriers must be serialized with batch: one input batch at a time.
+func RetireSkipped(cl *cluster.Cluster, batch func()) error {
+	as, ok := cl.Durable().(appliedSink)
+	if !ok {
+		batch()
+		return nil
+	}
+	before := as.Applied()
+	batch()
+	if as.Applied() != before {
+		return nil
+	}
+	return as.RetireBarrier()
+}
+
 // durableRollback marks the restored pre-batch state as the recovery point
 // after an abort. Best-effort like the rest of rollback: if the disk is
 // failing too, recovery replays from the previous barrier, which is also

@@ -41,26 +41,32 @@ type Planner interface {
 // It returns the plan's deterministic cost ledger (the modeled maintenance
 // time of the batch, plus any failover re-charges).
 func Execute(ctx *Context, p *Plan) (*cluster.Ledger, error) {
+	ledger, _, err := execute(ctx, p)
+	return ledger, err
+}
+
+// execute is Execute, also returning the epoch the commit published (0 while
+// epochs are disabled).
+func execute(ctx *Context, p *Plan) (*cluster.Ledger, uint64, error) {
 	s, err := BeginStaged(ctx, p)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	s.CaptureSnapshots()
 	if err := s.RunTransfers(nil); err != nil {
-		return nil, s.Abort(err)
+		return nil, 0, s.Abort(err)
 	}
 	if err := s.RunJoins(); err != nil {
-		return nil, s.Abort(err)
+		return nil, 0, s.Abort(err)
 	}
 	if err := s.Commit(); err != nil {
-		return nil, s.Abort(err)
+		return nil, 0, s.Abort(err)
 	}
 	s.Cleanup()
 	// The batch is now fully committed and scrubbed; publish the new epoch
 	// so snapshot readers pinning from here see post-batch state. (No-op
 	// unless serving has enabled the epoch manager.)
-	ctx.Cluster.Epochs().Publish()
-	return s.Ledger(), nil
+	return s.Ledger(), ctx.Cluster.Epochs().Publish(), nil
 }
 
 // Staged drives one batch through the executor's stages individually, so a
@@ -155,16 +161,6 @@ func (s *Staged) Cleanup() {
 	cleanupBatch(s.ctx, s.plan, s.es)
 }
 
-// KeepScratch installs a predicate consulted during Cleanup: a scratch
-// replica (array chunk at a node) for which keep returns true survives the
-// scrub, both physically and in the catalog. The streaming pipeline uses it
-// to protect replicas that in-flight successor batches claimed for their
-// own joins. Installing any predicate also preserves the base arrays'
-// replica records wholesale (successors resolve sources from them).
-func (s *Staged) KeepScratch(keep func(ref view.ChunkRef, node int) bool) {
-	s.es.keep = keep
-}
-
 // Abort undoes the batch — rolls back committed writes, restores catalog
 // snapshots, tears down scratch state — and returns the original cause.
 // Safe to call after a failure in any stage. Unlike Commit, Abort publishes
@@ -198,9 +194,6 @@ type execState struct {
 	staging    string
 	deltaNames []string
 	cm         *committer
-	// keep, when non-nil, protects scratch replicas from Cleanup's scrub
-	// (see Staged.KeepScratch) and preserves base replica records.
-	keep func(ref view.ChunkRef, node int) bool
 }
 
 func newExecState(ctx *Context, ledger *cluster.Ledger) *execState {
@@ -454,7 +447,7 @@ func runTransfers(ctx *Context, p *Plan, skip func(ref view.ChunkRef, to int) bo
 				return nil
 			})
 		}
-		if err := cl.RunPerNodeCtx(ctx.execContext(), tasks); err != nil {
+		if err := cl.RunPerNode(tasks); err != nil {
 			return err
 		}
 	}
@@ -539,7 +532,7 @@ func runJoins(ctx *Context, p *Plan, es *execState) error {
 			return nil
 		})
 	}
-	return cl.RunPerNodeCtx(ctx.execContext(), tasks)
+	return cl.RunPerNode(tasks)
 }
 
 // joinUnitAt evaluates one unit at the given node, pushing the join down

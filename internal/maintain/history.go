@@ -1,6 +1,8 @@
 package maintain
 
 import (
+	"sync"
+
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/view"
 )
@@ -28,9 +30,17 @@ type batchRec struct {
 // deltas are deferred) it would never learn about light chunks; the touch
 // ring records every delta chunk of every batch regardless of which path
 // handled it, and is what the heavy/light classifier scores against.
+//
+// The pair window may be recorded into while a planner scores against it
+// (the streaming graph's sink commits batch N while its router solves batch
+// N+1): Record swaps in a fresh slice under mu and planners read the slice
+// header through recent, so a solve sees one consistent window. The touch
+// ring has a single writer and reader (the adaptive layer, under its own
+// mutex).
 type History struct {
 	window  int
-	batches []batchRec
+	mu      sync.Mutex
+	batches []batchRec                // replaced, never modified in place
 	touched []map[array.ChunkKey]bool // most recent first, same window
 }
 
@@ -40,7 +50,15 @@ func NewHistory(window int) *History {
 }
 
 // Len returns how many batches are currently recorded.
-func (h *History) Len() int { return len(h.batches) }
+func (h *History) Len() int { return len(h.recent()) }
+
+// recent returns the pair window, most recent batch first. The slice is
+// shared and immutable.
+func (h *History) recent() []batchRec {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.batches
+}
 
 // Record captures the just-processed batch's units into the window,
 // normalizing delta refs to their base identity (the chunks exist in the
@@ -62,6 +80,8 @@ func (h *History) Record(ctx *Context) {
 			rec.pairBytes += bp + bq
 		}
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.batches = append([]batchRec{rec}, h.batches...)
 	if len(h.batches) > h.window {
 		h.batches = h.batches[:h.window]
@@ -84,14 +104,6 @@ func (h *History) RecordUpdates(keys []array.ChunkKey) {
 	if len(h.touched) > h.window {
 		h.touched = h.touched[:h.window]
 	}
-}
-
-// TouchLen returns how many batches the touch ring currently holds.
-func (h *History) TouchLen() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.touched)
 }
 
 // UpdateScores returns each chunk key's update-frequency score over the

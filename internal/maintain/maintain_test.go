@@ -1,8 +1,10 @@
 package maintain
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -525,6 +527,80 @@ func TestMaintainerAPIMisuse(t *testing.T) {
 	}
 	if _, err := m.ApplyBatch2(nil, nil); err == nil {
 		t.Error("ApplyBatch2 on a self-join view must fail")
+	}
+}
+
+// plannerFunc adapts a function into a Planner.
+type plannerFunc func(*Context) (*Plan, error)
+
+func (plannerFunc) Name() string                       { return "test" }
+func (f plannerFunc) Plan(ctx *Context) (*Plan, error) { return f(ctx) }
+
+// failOnce fails the first solve the given way and solves for real after.
+func failOnce(fail plannerFunc) Planner {
+	failed := false
+	return plannerFunc(func(ctx *Context) (*Plan, error) {
+		if !failed {
+			failed = true
+			return fail(ctx)
+		}
+		return Reassign{}.Plan(ctx)
+	})
+}
+
+// requireNoScratchNamespace fails the test when a scratch namespace is still
+// registered in the catalog, or the named delta namespace still holds chunks
+// at the coordinator.
+func requireNoScratchNamespace(t *testing.T, cl *cluster.Cluster, delta string) {
+	t.Helper()
+	for _, name := range cl.Catalog().Names() {
+		if strings.Contains(name, "#") {
+			t.Errorf("scratch namespace %q survived the failed batch", name)
+		}
+	}
+	if keys, err := cl.KeysAt(cluster.Coordinator, delta); err != nil || len(keys) > 0 {
+		t.Errorf("coordinator still holds %d chunks of %s (err %v)", len(keys), delta, err)
+	}
+}
+
+// A batch that dies between staging and the executor's first stage — the
+// planner fails, or BeginStaged refuses the plan — drops its delta
+// namespace, on the eager path and on the adaptive layer's; the next batch
+// maintains the view as if the failed one had never been staged.
+func TestFailedBatchDropsDeltaNamespace(t *testing.T) {
+	fails := map[string]plannerFunc{
+		"planner error": func(*Context) (*Plan, error) { return nil, errors.New("no plan today") },
+		"plan refused by validation": func(ctx *Context) (*Plan, error) {
+			return NewPlan("homeless", len(ctx.Units)), nil
+		},
+	}
+	for name, fail := range fails {
+		t.Run("eager/"+name, func(t *testing.T) {
+			cl, m, def := setupFig1(t, failOnce(fail))
+			if _, err := m.ApplyBatch(fig1Delta()); err == nil {
+				t.Fatal("batch with a failing planner succeeded")
+			}
+			requireNoScratchNamespace(t, cl, "A#delta1")
+			if _, err := m.ApplyBatch(fig1Delta()); err != nil {
+				t.Fatalf("batch after the failed one: %v", err)
+			}
+			verifyView(t, cl, def)
+		})
+		t.Run("adaptive/"+name, func(t *testing.T) {
+			cl, am, def := adaptiveSetup(t, DefaultAdaptiveConfig())
+			am.m.planner = failOnce(fail)
+			if _, err := am.ApplyBatch(fig1Delta()); err == nil {
+				t.Fatal("batch with a failing planner succeeded")
+			}
+			requireNoScratchNamespace(t, cl, "A#delta1")
+			if _, err := am.ApplyBatch(fig1Delta()); err != nil {
+				t.Fatalf("batch after the failed one: %v", err)
+			}
+			if _, err := am.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			verifyView(t, cl, def)
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package maintain
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"github.com/arrayview/arrayview/internal/array"
@@ -15,20 +16,37 @@ import (
 // batch updates to it with a chosen planning strategy. It keeps the
 // history window across batches so array reassignment can learn the
 // workload.
+//
+// It is the one batch pipeline: Prepare stages the delta namespace,
+// generates the update triples and builds the maintenance Context; Plan
+// solves (or replays a cached solve); Run walks the plan through the staged
+// executor and records the batch. ApplyBatch and friends are those three
+// steps back to back; the adaptive layer calls them through the same Batch
+// descriptor, and the streaming graph calls them from its stages, keeping
+// only what is pipelined (fences, deferred ships, claims, the drift router)
+// to itself. A batch that dies before the executor has begun leaves no
+// delta namespace behind, whichever step it died in.
+//
+// The steps of one batch run in order on one goroutine at a time; steps of
+// different batches may run concurrently (the graph prepares batch N+1 while
+// batch N runs) as long as no plan scratch is attached.
 type Maintainer struct {
-	cl       *cluster.Cluster
-	def      *view.Definition
-	planner  Planner
-	params   Params
-	history  *History
+	cl      *cluster.Cluster
+	def     *view.Definition
+	planner Planner
+	params  Params
+	history *History
+
+	mu       sync.Mutex // guards rng and batchSeq
 	rng      *rand.Rand
 	batchSeq int
+
 	// memo, when non-nil, is the content-addressed join-state cache shared
-	// across this maintainer's batches (set by the adaptive layer or
-	// SetJoinMemo); Execute consults it per unit.
+	// across this maintainer's batches (the adaptive layer's; see
+	// AdaptiveMaintainer.ShareMemo); Execute consults it per unit.
 	memo *JoinMemo
 	// scratch, when non-nil, caches unit lists and optimizer solutions per
-	// delta footprint (set by the adaptive layer or SetPlanScratch).
+	// delta footprint (the adaptive layer attaches one).
 	scratch *PlanScratch
 
 	arrayPlacement cluster.Placement
@@ -57,9 +75,12 @@ type Report struct {
 	Plan         *Plan
 	Ledger       *cluster.Ledger
 	// Trace is the phase-span breakdown of Execute: where ExecSeconds went
-	// (transfer, view-move, join, merge, catalog-refresh, ingest, cleanup)
-	// and per-node task busy time.
+	// (validate, snapshot, transfer, join, merge, commit, cleanup) and
+	// per-node task busy time.
 	Trace *obs.Trace
+	// Epoch is the epoch the batch's commit published (0 while epochs are
+	// disabled).
+	Epoch uint64
 }
 
 // NewMaintainer wires a maintainer for the given view on the cluster. The
@@ -113,15 +134,6 @@ func (m *Maintainer) SetPlacements(arrayP, viewP cluster.Placement) {
 	}
 }
 
-// SetPlanScratch attaches (or detaches, with nil) a per-footprint cache of
-// generated units and solved placements (see PlanScratch).
-func (m *Maintainer) SetPlanScratch(s *PlanScratch) { m.scratch = s }
-
-// SetJoinMemo attaches (or detaches, with nil) a cross-batch join-state
-// cache. Pass a shared memo to let several maintainers — e.g. the batch
-// path and the streaming graph — reuse each other's join results.
-func (m *Maintainer) SetJoinMemo(memo *JoinMemo) { m.memo = memo }
-
 // Planner returns the active planning strategy.
 func (m *Maintainer) Planner() Planner { return m.planner }
 
@@ -157,7 +169,7 @@ func (m *Maintainer) ApplyBatch(delta *array.Array) (*Report, error) {
 	if !m.def.SelfJoin() {
 		return nil, fmt.Errorf("maintain: view %s joins two arrays; use ApplyBatch2", m.def.Name)
 	}
-	return m.apply(delta, nil, false, false, true)
+	return m.apply(Batch{Alpha: delta})
 }
 
 // ApplyDelete incrementally maintains the view under a batch of deletions
@@ -171,7 +183,7 @@ func (m *Maintainer) ApplyDelete(del *array.Array) (*Report, error) {
 	if !m.def.Retractable() {
 		return nil, fmt.Errorf("maintain: view %s has non-retractable aggregates (MIN/MAX)", m.def.Name)
 	}
-	return m.apply(del, nil, true, false, true)
+	return m.apply(Batch{Alpha: del, Deleting: true})
 }
 
 // ApplyBatch2 maintains a two-array view under simultaneous insertions to
@@ -180,31 +192,107 @@ func (m *Maintainer) ApplyBatch2(dAlpha, dBeta *array.Array) (*Report, error) {
 	if m.def.SelfJoin() {
 		return nil, fmt.Errorf("maintain: view %s is a self join; use ApplyBatch", m.def.Name)
 	}
-	return m.apply(dAlpha, dBeta, false, false, true)
+	return m.apply(Batch{Alpha: dAlpha, Beta: dBeta})
 }
 
-// apply runs one staged maintenance batch. ephemeral batches — the
-// adaptive layer's pending-log materializations — skip the planner's
-// history window: their pairs replay activity from original batches in
-// bulk, and letting a large coalesced drain haunt the window would inflate
-// every subsequent solve's scoring pass. retire marks the batch's durable
-// commit barrier as consuming one top-level input batch (see
-// Context.RetireOnCommit); ephemeral replays pass false.
-func (m *Maintainer) apply(dAlpha, dBeta *array.Array, deleting, ephemeral, retire bool) (*Report, error) {
-	m.batchSeq++
-	deltaAlphaName := fmt.Sprintf("%s#delta%d", m.def.Alpha.Name, m.batchSeq)
-	deltaBetaName := deltaAlphaName
-	if !m.def.SelfJoin() {
-		deltaBetaName = fmt.Sprintf("%s#delta%d", m.def.Beta.Name, m.batchSeq)
-	}
+// Batch describes one maintenance batch to the pipeline.
+type Batch struct {
+	// Alpha and Beta hold the batch's cells per base array. A self-join view
+	// reads Alpha only; a two-array view takes either or both.
+	Alpha, Beta *array.Array
+	// Deleting marks the cells as retractions (see Context.Deleting).
+	Deleting bool
+	// Replay marks a pending-log materialization of the adaptive layer: the
+	// batch re-applies deltas of input batches that already retired, so its
+	// commit barrier does not advance the applied cursor (see
+	// Context.RetireOnCommit), and it stays out of the planner's history
+	// window — its pairs replay activity from original batches in bulk, and
+	// letting a large coalesced drain haunt the window would inflate every
+	// subsequent solve's scoring pass.
+	Replay bool
 
-	// Stage the delta chunks at the coordinator.
-	if err := m.stage(deltaAlphaName, m.def.Alpha, dAlpha); err != nil {
+	// The remaining fields are for a pipelined caller that keeps several
+	// batches in flight on one cluster.
+
+	// Tag, when set, marks the batch's scratch namespaces
+	// ("<base>#<tag>delta<seq>", "<view>#stage-<tag><seq>") so concurrently
+	// staged batches never collide — with each other or with an untagged
+	// maintainer's "<base>#delta<seq>" and "<view>#stage" on the same cluster.
+	Tag string
+	// Pending lists base chunk keys that in-flight predecessors' commits will
+	// create; Dirty reports base chunks their commits will rewrite (see
+	// view.UnitGen.PendingAlpha and DirtyBase).
+	Pending []array.ChunkKey
+	Dirty   func(name string, key array.ChunkKey) bool
+	// Keep protects scratch replicas from the batch's cleanup (see
+	// Context.KeepScratch).
+	Keep func(ref view.ChunkRef, node int) bool
+}
+
+// Prepared is a batch between Prepare and Run: its delta is staged under its
+// own namespace and its Context is built.
+type Prepared struct {
+	// Seq numbers the batch's scratch namespaces.
+	Seq int
+	Ctx *Context
+
+	batch  Batch
+	deltas []string // staged delta namespaces
+
+	// Plan-scratch admission (see Prepare).
+	useScratch  bool
+	footprint   string
+	cached      *scratchEntry
+	newBaseKeys bool
+
+	tripleGen, planning time.Duration
+}
+
+// apply runs one batch through the three steps.
+func (m *Maintainer) apply(b Batch) (*Report, error) {
+	p, err := m.Prepare(b)
+	if err != nil {
 		return nil, err
 	}
+	plan, err := m.Plan(p)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(p, plan)
+}
+
+// Prepare registers the batch's delta namespace(s), stages the delta chunks
+// at the coordinator, generates the update triples from catalog metadata and
+// builds the maintenance Context. On error nothing of the batch is left
+// staged.
+func (m *Maintainer) Prepare(b Batch) (*Prepared, error) {
+	p := &Prepared{batch: b}
+	if err := m.prepare(p); err != nil {
+		m.Discard(p)
+		return nil, err
+	}
+	return p, nil
+}
+
+func (m *Maintainer) prepare(p *Prepared) error {
+	b, alpha, beta := p.batch, m.def.Alpha, m.def.Beta
+	m.mu.Lock()
+	m.batchSeq++
+	p.Seq = m.batchSeq
+	m.mu.Unlock()
+	deltaAlpha := fmt.Sprintf("%s#%sdelta%d", alpha.Name, b.Tag, p.Seq)
+	deltaBeta := deltaAlpha
+	p.deltas = []string{deltaAlpha}
 	if !m.def.SelfJoin() {
-		if err := m.stage(deltaBetaName, m.def.Beta, dBeta); err != nil {
-			return nil, err
+		deltaBeta = fmt.Sprintf("%s#%sdelta%d", beta.Name, b.Tag, p.Seq)
+		p.deltas = append(p.deltas, deltaBeta)
+	}
+	if err := m.stage(deltaAlpha, alpha, b.Alpha); err != nil {
+		return err
+	}
+	if !m.def.SelfJoin() {
+		if err := m.stage(deltaBeta, beta, b.Beta); err != nil {
+			return err
 		}
 	}
 
@@ -213,110 +301,138 @@ func (m *Maintainer) apply(dAlpha, dBeta *array.Array, deleting, ephemeral, reti
 	// base chunk-key generation, so replayed footprints skip triple
 	// generation and the optimizer solve entirely. Deletions shrink the
 	// base key set, so they bypass and invalidate the scratch.
-	useScratch := m.scratch != nil && m.def.SelfJoin() && !deleting && !m.params.CellPruning
-	var footprint string
-	var cached *scratchEntry
-	var newBaseKeys bool
-	if useScratch {
-		footprint = scratchFootprint(dAlpha.ChunkKeys())
-		cached = m.scratch.lookup(footprint)
-		for _, k := range dAlpha.ChunkKeys() {
-			if _, ok := m.cl.Catalog().Home(m.def.Alpha.Name, k); !ok {
-				newBaseKeys = true
+	p.useScratch = m.scratch != nil && m.def.SelfJoin() && !b.Deleting && !m.params.CellPruning
+	if p.useScratch {
+		p.footprint = scratchFootprint(b.Alpha.ChunkKeys())
+		p.cached = m.scratch.lookup(p.footprint)
+		for _, k := range b.Alpha.ChunkKeys() {
+			if _, ok := m.cl.Catalog().Home(alpha.Name, k); !ok {
+				p.newBaseKeys = true
 				break
 			}
 		}
 	}
 
-	// Preprocessing: generate the update triples from catalog metadata.
 	tripleStart := time.Now()
 	var units []view.Unit
-	var err error
-	if cached != nil {
-		units = cached.rebuildUnits(m.def.Alpha.Name, deltaAlphaName)
+	if p.cached != nil {
+		units = p.cached.rebuildUnits(alpha.Name, deltaAlpha)
 	} else {
 		gen := &view.UnitGen{
 			Catalog: m.cl.Catalog(), Def: m.def,
-			BaseAlpha: m.def.Alpha.Name, BaseBeta: m.def.Beta.Name,
-			DeltaAlpha: deltaAlphaName, DeltaBeta: deltaBetaName,
-			CellPruning: m.params.CellPruning,
+			BaseAlpha: alpha.Name, BaseBeta: beta.Name,
+			DeltaAlpha: deltaAlpha, DeltaBeta: deltaBeta,
+			CellPruning:  m.params.CellPruning,
+			PendingAlpha: b.Pending,
+			DirtyBase:    b.Dirty,
 		}
-		units, err = gen.Generate()
-		if err != nil {
-			return nil, err
+		var err error
+		if units, err = gen.Generate(); err != nil {
+			return err
 		}
 	}
-	tripleGen := time.Since(tripleStart)
+	p.tripleGen = time.Since(tripleStart)
 
 	params := m.params
+	m.mu.Lock()
 	params.Seed = m.rng.Int63() // fresh randomized order per batch, reproducibly
+	m.mu.Unlock()
 	ctx, err := NewContext(m.cl, m.def, units,
-		m.def.Alpha.Name, m.def.Beta.Name, deltaAlphaName, deltaBetaName,
+		alpha.Name, beta.Name, deltaAlpha, deltaBeta,
 		m.def.Name, m.history, params)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ctx.ArrayPlacement = m.arrayPlacement
 	ctx.ViewPlacement = m.viewPlacement
-	ctx.Deleting = deleting
-	ctx.RetireOnCommit = retire
+	ctx.Deleting = b.Deleting
+	ctx.RetireOnCommit = !b.Replay
 	ctx.JoinMemo = m.memo
-
-	planStart := time.Now()
-	var plan *Plan
-	if cached != nil {
-		plan = cached.rebuildPlan(ctx)
-	} else {
-		plan, err = m.planner.Plan(ctx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	planning := time.Since(planStart)
-
 	ctx.Trace = obs.NewTrace()
-	execStart := time.Now()
-	ledger, err := Execute(ctx, plan)
+	ctx.KeepScratch = b.Keep
+	if b.Tag != "" {
+		ctx.ScratchSuffix = fmt.Sprintf("-%s%d", b.Tag, p.Seq)
+	}
+	p.Ctx = ctx
+	return nil
+}
+
+// Plan solves the prepared batch: the cached solution when Prepare admitted
+// the batch's footprint to the plan scratch, the planner otherwise. On error
+// the batch's delta namespace is dropped.
+func (m *Maintainer) Plan(p *Prepared) (*Plan, error) {
+	start := time.Now()
+	defer func() { p.planning = time.Since(start) }()
+	if e := p.cached; e != nil {
+		return AssemblePlan(p.Ctx, "scratch-reuse",
+			func(i int, _ view.Unit) int { return e.joinSite[i] }, e.viewHome), nil
+	}
+	plan, err := m.planner.Plan(p.Ctx)
 	if err != nil {
+		m.Discard(p)
+		return nil, err
+	}
+	return plan, nil
+}
+
+// Run executes the plan (see Execute) and records the committed batch in the
+// history window and the plan scratch. On error the batch is rolled back and
+// nothing of it is left staged.
+func (m *Maintainer) Run(p *Prepared, plan *Plan) (*Report, error) {
+	ctx, b := p.Ctx, p.batch
+	execStart := time.Now()
+	ledger, epoch, err := execute(ctx, plan)
+	if err != nil {
+		// An abort already scrubbed the delta namespace; a plan the executor
+		// refused to begin on has not been scrubbed by anyone.
+		m.Discard(p)
 		return nil, err
 	}
 	execWall := time.Since(execStart)
-	if !ephemeral {
+	if !b.Replay {
 		m.history.Record(ctx)
 	}
-	if useScratch {
+	if p.useScratch {
 		// A batch that added chunk keys to the base invalidates every
 		// cached footprint: they solved against a base that no longer
 		// exists (and its own solution is equally stale, so it is not
 		// stored). Pure-overwrite batches — the replay pattern — leave the
 		// key set intact and their solutions reusable.
-		if newBaseKeys {
+		if p.newBaseKeys {
 			m.scratch.Invalidate()
-		} else if cached == nil {
-			m.scratch.store(footprint, ctx, plan)
+		} else if p.cached == nil {
+			m.scratch.store(p.footprint, ctx, plan)
 		}
 	}
-	if m.scratch != nil && deleting {
+	if m.scratch != nil && b.Deleting {
 		m.scratch.Invalidate()
 	}
 
 	nTriples := 0
-	for _, u := range units {
+	for _, u := range ctx.Units {
 		nTriples += len(u.Views)
 	}
 	return &Report{
 		Strategy:            m.planner.Name(),
 		MaintenanceSeconds:  ledger.Cost(),
-		OptimizationSeconds: (tripleGen + planning).Seconds(),
-		TripleGenSeconds:    tripleGen.Seconds(),
+		OptimizationSeconds: (p.tripleGen + p.planning).Seconds(),
+		TripleGenSeconds:    p.tripleGen.Seconds(),
 		ExecSeconds:         execWall.Seconds(),
-		NumUnits:            len(units),
+		NumUnits:            len(ctx.Units),
 		NumTriples:          nTriples,
 		NumTransfers:        plan.NumTransfers(),
 		Plan:                plan,
 		Ledger:              ledger,
 		Trace:               ctx.Trace,
+		Epoch:               epoch,
 	}, nil
+}
+
+// Discard drops the delta namespace(s) of a prepared batch that will never
+// reach Run's cleanup — the pipelined caller's counterpart of what Plan and
+// Run do on their own errors. Dropping twice is harmless.
+func (m *Maintainer) Discard(p *Prepared) {
+	dropDeltas(m.cl, p.deltas)
 }
 
 // stage registers a per-batch delta namespace and stages the delta's

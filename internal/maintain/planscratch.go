@@ -39,14 +39,27 @@ type PlanScratch struct {
 	hits, misses int64
 }
 
-// scratchUnit is one cached unit: the pair's chunk keys, which sides are
-// delta chunks, and the affected view chunks. The delta array's per-batch
-// namespace is re-bound at reuse time.
+// PairKey is the batch-independent identity of a chunk-pair join: the two
+// chunk keys plus which sides are delta chunks. Delta namespaces are
+// per-batch ("…#delta<seq>"), so the raw array names cannot key a cache that
+// outlives the batch. The plan scratch and the stream router both remember
+// placements under it.
+type PairKey struct {
+	P, Q           array.ChunkKey
+	PDelta, QDelta bool
+}
+
+// PairKey returns the unit's batch-independent identity.
+func (c *Context) PairKey(u view.Unit) PairKey {
+	return PairKey{P: u.P.Key, Q: u.Q.Key, PDelta: c.IsDelta(u.P), QDelta: c.IsDelta(u.Q)}
+}
+
+// scratchUnit is one cached unit: the pair's identity and the affected view
+// chunks. The delta array's per-batch namespace is re-bound at reuse time.
 type scratchUnit struct {
-	p, q   array.ChunkKey
-	pd, qd bool
-	both   bool
-	views  []array.ChunkKey
+	PairKey
+	both  bool
+	views []array.ChunkKey
 }
 
 type scratchEntry struct {
@@ -142,11 +155,7 @@ func (s *PlanScratch) store(fp string, ctx *Context, p *Plan) {
 		viewHome: make(map[array.ChunkKey]int, len(p.ViewHome)),
 	}
 	for i, u := range ctx.Units {
-		e.units[i] = scratchUnit{
-			p: u.P.Key, q: u.Q.Key,
-			pd: ctx.IsDelta(u.P), qd: ctx.IsDelta(u.Q),
-			both: u.BothDirections, views: u.Views,
-		}
+		e.units[i] = scratchUnit{PairKey: ctx.PairKey(u), both: u.BothDirections, views: u.Views}
 		e.joinSite[i] = p.JoinSite[i]
 	}
 	for v, j := range p.ViewHome {
@@ -164,15 +173,15 @@ func (e *scratchEntry) rebuildUnits(baseName, deltaName string) []view.Unit {
 	units := make([]view.Unit, len(e.units))
 	for i, su := range e.units {
 		pArr, qArr := baseName, baseName
-		if su.pd {
+		if su.PDelta {
 			pArr = deltaName
 		}
-		if su.qd {
+		if su.QDelta {
 			qArr = deltaName
 		}
 		units[i] = view.Unit{
-			P:              view.ChunkRef{Array: pArr, Key: su.p},
-			Q:              view.ChunkRef{Array: qArr, Key: su.q},
+			P:              view.ChunkRef{Array: pArr, Key: su.P},
+			Q:              view.ChunkRef{Array: qArr, Key: su.Q},
 			Views:          su.views,
 			BothDirections: su.both,
 		}
@@ -180,14 +189,19 @@ func (e *scratchEntry) rebuildUnits(baseName, deltaName string) []view.Unit {
 	return units
 }
 
-// rebuildPlan assembles an executable plan from the cached solution: cached
-// join sites and view homes, with the transfer list rebuilt against the
-// live catalog (chunks ship directly from wherever they live now). New
-// delta chunks get their post-batch home from the static placement, as a
-// fresh solve would record in ArrayRehome.
-func (e *scratchEntry) rebuildPlan(ctx *Context) *Plan {
+// AssemblePlan builds an executable plan from a remembered placement
+// instead of a solve: site names each unit's join site, viewHome holds the
+// remembered view-chunk homes (a chunk it lacks gets the stage-one hint,
+// which is remembered in turn), and the transfer list is rebuilt against the
+// live catalog — every chunk ships directly from wherever it lives now, so a
+// caller may defer any subset of the ships. A chunk absent from the catalog
+// (one an in-flight predecessor's commit will create) gets a placeholder ship
+// from the coordinator, which validates because HomeOf reports Coordinator
+// for absent chunks. Brand-new delta chunks get their post-batch home from
+// the static placement, as a fresh solve would record in ArrayRehome.
+func AssemblePlan(ctx *Context, strategy string, site func(i int, u view.Unit) int, viewHome map[array.ChunkKey]int) *Plan {
 	n := ctx.Cluster.NumNodes()
-	p := NewPlan("scratch-reuse", len(ctx.Units))
+	p := NewPlan(strategy, len(ctx.Units))
 	type ship struct {
 		ref view.ChunkRef
 		to  int
@@ -202,19 +216,20 @@ func (e *scratchEntry) rebuildPlan(ctx *Context) *Plan {
 		p.Transfers = append(p.Transfers, Transfer{Ref: ref, From: from, To: to})
 	}
 	for i, u := range ctx.Units {
-		site := e.joinSite[i]
-		p.JoinSite[i] = site
-		addShip(u.P, site)
-		addShip(u.Q, site)
+		at := site(i, u)
+		p.JoinSite[i] = at
+		addShip(u.P, at)
+		addShip(u.Q, at)
 		for _, v := range u.Views {
 			if _, ok := p.ViewHome[v]; ok {
 				continue
 			}
-			if home, ok := e.viewHome[v]; ok {
-				p.ViewHome[v] = home
-			} else {
-				p.ViewHome[v] = ctx.ViewHomeHint(v)
+			home, ok := viewHome[v]
+			if !ok {
+				home = ctx.ViewHomeHint(v)
+				viewHome[v] = home
 			}
+			p.ViewHome[v] = home
 		}
 	}
 	for _, ref := range ctx.DeltaRefs() {

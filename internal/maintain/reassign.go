@@ -290,7 +290,7 @@ func scoredPairs(ctx *Context) ([]scoredPair, float64) {
 	}
 	if ctx.History != nil {
 		w := (1 - lambda) * ctx.Params.Decay
-		for _, b := range ctx.History.batches {
+		for _, b := range ctx.History.recent() {
 			for _, pr := range b.pairs {
 				add(pr.Ref, pr.View, w, pr.Bytes)
 			}

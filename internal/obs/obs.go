@@ -30,16 +30,13 @@ import (
 
 // Canonical phase names of one maintained batch, in pipeline order.
 const (
-	PhaseValidate = "validate"        // plan validation + ledger charge
-	PhaseSnapshot = "snapshot"        // catalog rollback-baseline capture
-	PhaseTransfer = "transfer"        // chunk replication per the plan
-	PhaseViewMove = "view-move"       // legacy: pre-commit view relocation
-	PhaseJoin     = "join"            // per-node chunk-pair joins (wall-clock)
-	PhaseMerge    = "merge"           // folding partials into staging (busy)
-	PhaseCommit   = "commit"          // idempotent apply of staged mutations
-	PhaseCatalog  = "catalog-refresh" // legacy: view chunk metadata refresh
-	PhaseIngest   = "ingest"          // legacy: pre-commit delta ingestion
-	PhaseCleanup  = "cleanup"         // staging + scratch replica teardown
+	PhaseValidate = "validate" // plan validation + ledger charge
+	PhaseSnapshot = "snapshot" // catalog rollback-baseline capture
+	PhaseTransfer = "transfer" // chunk replication per the plan
+	PhaseJoin     = "join"     // per-node chunk-pair joins (wall-clock)
+	PhaseMerge    = "merge"    // folding partials into staging (busy)
+	PhaseCommit   = "commit"   // idempotent apply of staged mutations
+	PhaseCleanup  = "cleanup"  // staging + scratch replica teardown
 )
 
 // Counter is an atomic cumulative counter.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/arrayview/arrayview/internal/array"
-	"github.com/arrayview/arrayview/internal/obs"
 	"github.com/arrayview/arrayview/internal/query"
 	"github.com/arrayview/arrayview/internal/shape"
 	"github.com/arrayview/arrayview/internal/transport"
@@ -87,48 +86,7 @@ func (c *Client) Stats() (Stats, error) {
 	if resp.Type != transport.MsgSnapshotReply {
 		return Stats{}, fmt.Errorf("serve: unexpected reply %s", resp.Type)
 	}
-	return Stats{
-		Epoch:         resp.Epoch,
-		Pins:          resp.Pins,
-		Retained:      resp.Retained,
-		RetainedBytes: resp.RetainedBytes,
-		CacheHits:     resp.CacheHits,
-		CacheMisses:   resp.CacheMisses,
-		CacheBytes:    resp.CacheBytes,
-		Queries:       resp.Queries,
-		Rejected:      resp.Rejected,
-		Adaptive: obs.AdaptiveSnapshot{
-			HeavyChunks:   resp.HeavyChunks,
-			LightChunks:   resp.LightChunks,
-			PendingChunks: resp.PendingChunks,
-			PendingCells:  resp.PendingCells,
-			Deferred:      resp.Deferred,
-			LazyMats:      resp.LazyMats,
-			Drained:       resp.Drained,
-			Promotions:    resp.Promotions,
-			Demotions:     resp.Demotions,
-			MemoHits:      resp.MemoHits,
-			MemoMisses:    resp.MemoMisses,
-		},
-		Durable: obs.DurableSnapshot{
-			Commits:     resp.DurCommits,
-			Rollbacks:   resp.DurRollbacks,
-			Checkpoints: resp.DurCheckpoints,
-			WALBytes:    resp.DurWALBytes,
-			SegBytes:    resp.DurSegBytes,
-			Syncs:       resp.DurSyncs,
-		},
-		FastPath: obs.FastPathSnapshot{
-			ViewHits:          resp.FPViewHits,
-			ViewMisses:        resp.FPViewMisses,
-			ViewBytes:         resp.FPViewBytes,
-			ViewEvictions:     resp.FPViewEvictions,
-			ViewInvalidations: resp.FPViewInvalidations,
-			MemoHits:          resp.FPMemoHits,
-			MemoMisses:        resp.FPMemoMisses,
-			SolveSkips:        resp.FPSolveSkips,
-		},
-	}, nil
+	return decodeStats(resp.Spec)
 }
 
 // Close releases the client's connections.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/cluster"
 	"github.com/arrayview/arrayview/internal/maintain"
+	"github.com/arrayview/arrayview/internal/obs"
 	"github.com/arrayview/arrayview/internal/query"
 	"github.com/arrayview/arrayview/internal/shape"
 	"github.com/arrayview/arrayview/internal/simjoin"
@@ -356,5 +358,49 @@ func TestReadErrorTyped(t *testing.T) {
 	}
 	if re.Array != "A" || re.Key != keys[0] || len(re.Tried) == 0 {
 		t.Fatalf("read error lacks failure detail: %+v", re)
+	}
+}
+
+// The stats reply is one self-describing document: every counter survives
+// the round trip, a name this build does not know is skipped, and a name the
+// sender did not write reads zero — so daemons and clients a counter apart
+// still talk.
+func TestStatsReplyRoundTrip(t *testing.T) {
+	want := Stats{
+		Epoch: 7, Pins: 1, Retained: 2, RetainedBytes: 3,
+		CacheHits: 4, CacheMisses: 5, CacheBytes: 6, Queries: 8, Rejected: 9,
+		Adaptive: obs.AdaptiveSnapshot{HeavyChunks: 10, PendingCells: 11, MemoMisses: 12},
+		Durable:  obs.DurableSnapshot{Commits: 13, Syncs: 14},
+		FastPath: obs.FastPathSnapshot{ViewHits: 15, SolveSkips: 16},
+	}
+	doc, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := decodeStats(doc); err != nil || got != want {
+		t.Fatalf("round trip: got %+v (err %v), want %+v", got, err, want)
+	}
+
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["CounterFromTheFuture"] = json.RawMessage(`{"A": 1}`)
+	newer, _ := json.Marshal(fields)
+	if got, err := decodeStats(newer); err != nil || got != want {
+		t.Fatalf("unknown field: got %+v (err %v), want %+v", got, err, want)
+	}
+
+	delete(fields, "CounterFromTheFuture")
+	delete(fields, "Durable")
+	delete(fields, "Rejected")
+	older, _ := json.Marshal(fields)
+	want.Durable, want.Rejected = obs.DurableSnapshot{}, 0
+	if got, err := decodeStats(older); err != nil || got != want {
+		t.Fatalf("missing fields: got %+v (err %v), want %+v", got, err, want)
+	}
+
+	if _, err := decodeStats([]byte("not a document")); err == nil {
+		t.Fatal("garbage stats document decoded")
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -115,6 +117,17 @@ type Stats struct {
 	// FastPath carries the query fast path's counters (all zero when the
 	// daemon serves cold).
 	FastPath obs.FastPathSnapshot
+}
+
+// decodeStats reads a stats reply document: the JSON of a Stats, so a peer
+// built with more or fewer counters still decodes it — names this build does
+// not know are skipped, names the document lacks stay zero.
+func decodeStats(doc []byte) (Stats, error) {
+	var st Stats
+	if err := json.Unmarshal(doc, &st); err != nil {
+		return Stats{}, fmt.Errorf("serve: decoding stats reply: %w", err)
+	}
+	return st, nil
 }
 
 // HitRate returns the cache hit fraction, 0 before any lookup.
@@ -405,46 +418,11 @@ func (s *Server) handle(req *transport.Message) *transport.Message {
 		return s.handleQuery(req)
 
 	case transport.MsgSnapshot:
-		st := s.Stats()
-		return &transport.Message{
-			Type:          transport.MsgSnapshotReply,
-			Epoch:         st.Epoch,
-			Pins:          st.Pins,
-			Retained:      st.Retained,
-			RetainedBytes: st.RetainedBytes,
-			CacheHits:     st.CacheHits,
-			CacheMisses:   st.CacheMisses,
-			CacheBytes:    st.CacheBytes,
-			Queries:       st.Queries,
-			Rejected:      st.Rejected,
-			HeavyChunks:   st.Adaptive.HeavyChunks,
-			LightChunks:   st.Adaptive.LightChunks,
-			PendingChunks: st.Adaptive.PendingChunks,
-			PendingCells:  st.Adaptive.PendingCells,
-			Deferred:      st.Adaptive.Deferred,
-			LazyMats:      st.Adaptive.LazyMats,
-			Drained:       st.Adaptive.Drained,
-			Promotions:    st.Adaptive.Promotions,
-			Demotions:     st.Adaptive.Demotions,
-			MemoHits:      st.Adaptive.MemoHits,
-			MemoMisses:    st.Adaptive.MemoMisses,
-
-			DurCommits:     st.Durable.Commits,
-			DurRollbacks:   st.Durable.Rollbacks,
-			DurCheckpoints: st.Durable.Checkpoints,
-			DurWALBytes:    st.Durable.WALBytes,
-			DurSegBytes:    st.Durable.SegBytes,
-			DurSyncs:       st.Durable.Syncs,
-
-			FPViewHits:          st.FastPath.ViewHits,
-			FPViewMisses:        st.FastPath.ViewMisses,
-			FPViewBytes:         st.FastPath.ViewBytes,
-			FPViewEvictions:     st.FastPath.ViewEvictions,
-			FPViewInvalidations: st.FastPath.ViewInvalidations,
-			FPMemoHits:          st.FastPath.MemoHits,
-			FPMemoMisses:        st.FastPath.MemoMisses,
-			FPSolveSkips:        st.FastPath.SolveSkips,
+		doc, err := json.Marshal(s.Stats())
+		if err != nil {
+			return errMsg(err)
 		}
+		return &transport.Message{Type: transport.MsgSnapshotReply, Spec: doc}
 
 	default:
 		return &transport.Message{Type: transport.MsgErr,

@@ -117,12 +117,3 @@ func (c *ContentCache) Bytes() int64 {
 	defer c.mu.Unlock()
 	return c.bytes
 }
-
-// SetCap rebounds the cache; shrinking evicts immediately and 0 drops the
-// contents.
-func (c *ContentCache) SetCap(capBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capBytes = capBytes
-	c.evictLocked()
-}

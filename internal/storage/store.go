@@ -396,7 +396,3 @@ func (s *Store) EachEncoded(fn func(arrayName string, key array.ChunkKey, enc []
 
 // CacheBytes returns the sideline content cache's current footprint.
 func (s *Store) CacheBytes() int64 { return s.cache.Bytes() }
-
-// SetCacheCap rebounds the sideline content cache; 0 disables it (and
-// drops its contents).
-func (s *Store) SetCacheCap(capBytes int64) { s.cache.SetCap(capBytes) }

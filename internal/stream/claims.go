@@ -51,7 +51,7 @@ func (t *claimTable) acquire(set []claim) {
 	}
 }
 
-// keep is the Staged.KeepScratch predicate: a replica with a live claim
+// keep is the batches' maintain.Batch.Keep predicate: a replica with a live claim
 // survives the batch's cleanup, and the skipped scrub is recorded for
 // release to finish later.
 func (t *claimTable) keep(ref view.ChunkRef, node int) bool {

@@ -3,20 +3,9 @@ package stream
 import (
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/maintain"
+	"github.com/arrayview/arrayview/internal/obs"
 	"github.com/arrayview/arrayview/internal/view"
 )
-
-// pairKey is the batch-independent identity of a chunk-pair join: the two
-// chunk keys plus which sides are delta chunks. Delta namespaces are
-// per-batch ("…#sdeltaN"), so the raw array names cannot key the cache.
-type pairKey struct {
-	p, q   array.ChunkKey
-	pd, qd bool
-}
-
-func pairKeyOf(ctx *maintain.Context, u view.Unit) pairKey {
-	return pairKey{p: u.P.Key, q: u.Q.Key, pd: ctx.IsDelta(u.P), qd: ctx.IsDelta(u.Q)}
-}
 
 // router is the chunk-router stage's placement policy: it amortizes the
 // optimizer across micro-batches by caching the last full solve's join-site
@@ -26,11 +15,10 @@ func pairKeyOf(ctx *maintain.Context, u view.Unit) pairKey {
 // dominant fixed per-batch overhead of the batch-at-a-time path — is paid
 // once per drift episode instead of once per batch.
 //
-// The router is used from the single plan-stage goroutine; it needs no
-// locking except for the stats snapshot.
+// The router is used from the single plan-stage goroutine; only its
+// counters are read from elsewhere.
 type router struct {
-	planner   maintain.Planner
-	threshold float64
+	planner maintain.Planner
 	// heavy, when non-nil, reports the adaptive classifier's verdict for a
 	// chunk key; heavy-chunk touches count heavyTouchWeight× in the drift
 	// coverage, so the router re-solves promptly when the hot footprint
@@ -38,13 +26,13 @@ type router struct {
 	heavy func(array.ChunkKey) bool
 
 	haveSolve bool
-	joinSite  map[pairKey]int
+	joinSite  map[maintain.PairKey]int
 	viewHome  map[array.ChunkKey]int
 	// touch is the base-chunk-touch distribution (key → weighted unit
 	// count) the cached solution was solved for.
 	touch map[array.ChunkKey]int
 
-	solves, reuses int64
+	solves, reuses obs.Counter
 }
 
 // heavyTouchWeight is how many cold-chunk touches one hot-chunk touch is
@@ -57,17 +45,12 @@ type RouterStats struct {
 	Reuses int64 `json:"reuses"`
 }
 
-func newRouter(planner maintain.Planner, threshold float64, heavy func(array.ChunkKey) bool) *router {
-	return &router{planner: planner, threshold: threshold, heavy: heavy}
-}
-
-// heavyFnOf adapts an optional adaptive maintainer into the router's
-// classifier lookup.
-func heavyFnOf(a *maintain.AdaptiveMaintainer) func(array.ChunkKey) bool {
-	if a == nil {
-		return nil
+func newRouter(planner maintain.Planner) *router {
+	return &router{
+		planner:  planner,
+		joinSite: make(map[maintain.PairKey]int),
+		viewHome: make(map[array.ChunkKey]int),
 	}
-	return a.IsHeavy
 }
 
 // touchesOf counts how many units read each base chunk key — the drift
@@ -124,8 +107,8 @@ func (r *router) plan(ctx *maintain.Context, conflicted bool) (*maintain.Plan, b
 			}
 		}
 	}
-	if r.haveSolve && (conflicted || coverage(cur, r.touch) >= r.threshold) {
-		r.reuses++
+	if r.haveSolve && (conflicted || coverage(cur, r.touch) >= driftThreshold) {
+		r.reuses.Add(1)
 		return r.reusePlan(ctx), true, nil
 	}
 	if !conflicted {
@@ -134,12 +117,12 @@ func (r *router) plan(ctx *maintain.Context, conflicted bool) (*maintain.Plan, b
 			return nil, false, err
 		}
 		r.adopt(ctx, p, cur)
-		r.solves++
+		r.solves.Add(1)
 		return p, false, nil
 	}
 	// Conflicted with no cached solve yet: route greedily this batch; the
 	// next unconflicted batch seeds the cache.
-	r.reuses++
+	r.reuses.Add(1)
 	return r.reusePlan(ctx), true, nil
 }
 
@@ -147,9 +130,9 @@ func (r *router) plan(ctx *maintain.Context, conflicted bool) (*maintain.Plan, b
 func (r *router) adopt(ctx *maintain.Context, p *maintain.Plan, touch map[array.ChunkKey]int) {
 	r.haveSolve = true
 	r.touch = touch
-	r.joinSite = make(map[pairKey]int, len(ctx.Units))
+	r.joinSite = make(map[maintain.PairKey]int, len(ctx.Units))
 	for i, u := range ctx.Units {
-		r.joinSite[pairKeyOf(ctx, u)] = p.JoinSite[i]
+		r.joinSite[ctx.PairKey(u)] = p.JoinSite[i]
 	}
 	r.viewHome = make(map[array.ChunkKey]int, len(p.ViewHome))
 	for v, j := range p.ViewHome {
@@ -157,69 +140,24 @@ func (r *router) adopt(ctx *maintain.Context, p *maintain.Plan, touch map[array.
 	}
 }
 
-// reusePlan assembles an executable plan from the cached placement: cached
-// join sites for known pairs, a cheap greedy site for new ones, cached (or
-// hinted) view homes, and a flat direct-from-home transfer list. Pending
-// chunks (absent from the catalog until a predecessor commits) get a
-// placeholder transfer from the coordinator, which validates — HomeOf
-// reports Coordinator for absent chunks — and is always deferred by the
-// caller, then re-resolved against the live catalog after the commit fence.
+// reusePlan assembles an executable plan from the cached placement (see
+// maintain.AssemblePlan): cached join sites for known pairs, a cheap greedy
+// site — remembered in turn — for new ones. Its placeholder ships for
+// pending chunks are always deferred by the caller, then re-resolved against
+// the live catalog after the commit fence; its static-placement homes for
+// brand-new delta chunks agree with a successor's pending-key guess (the
+// same placement).
 func (r *router) reusePlan(ctx *maintain.Context) *maintain.Plan {
 	n := ctx.Cluster.NumNodes()
-	p := maintain.NewPlan("stream-reuse", len(ctx.Units))
-	type ship struct {
-		ref view.ChunkRef
-		to  int
-	}
-	shipped := make(map[ship]bool)
-	addShip := func(ref view.ChunkRef, to int) {
-		from := ctx.HomeOf(ref)
-		if from == to || shipped[ship{ref, to}] {
-			return
-		}
-		shipped[ship{ref, to}] = true
-		p.Transfers = append(p.Transfers, maintain.Transfer{Ref: ref, From: from, To: to})
-	}
-	for i, u := range ctx.Units {
-		site, ok := r.joinSite[pairKeyOf(ctx, u)]
+	return maintain.AssemblePlan(ctx, "stream-reuse", func(_ int, u view.Unit) int {
+		pk := ctx.PairKey(u)
+		site, ok := r.joinSite[pk]
 		if !ok {
 			site = r.greedySite(ctx, u, n)
-			if r.joinSite == nil {
-				r.joinSite = make(map[pairKey]int)
-			}
-			r.joinSite[pairKeyOf(ctx, u)] = site
+			r.joinSite[pk] = site
 		}
-		p.JoinSite[i] = site
-		addShip(u.P, site)
-		addShip(u.Q, site)
-		for _, v := range u.Views {
-			if _, ok := p.ViewHome[v]; ok {
-				continue
-			}
-			home, ok := r.viewHome[v]
-			if !ok {
-				home = ctx.ViewHomeHint(v)
-				if r.viewHome == nil {
-					r.viewHome = make(map[array.ChunkKey]int)
-				}
-				r.viewHome[v] = home
-			}
-			p.ViewHome[v] = home
-		}
-	}
-	// Brand-new delta chunks get their post-batch home from the static
-	// placement, recorded in the plan so the commit uses it — and so a
-	// successor's pending-key guess (the same placement) agrees with it.
-	for _, ref := range ctx.DeltaRefs() {
-		if !ctx.IsDelta(ref) {
-			continue
-		}
-		base := ctx.BaseNameFor(ref.Array)
-		if _, exists := ctx.Cluster.Catalog().Home(base, ref.Key); !exists {
-			p.ArrayRehome[ref] = ctx.ArrayPlacement.Place(ref.Key, n)
-		}
-	}
-	return p
+		return site
+	}, r.viewHome)
 }
 
 // greedySite picks a join site for a pair outside the cached solution:
@@ -241,9 +179,7 @@ func (r *router) greedySite(ctx *maintain.Context, u view.Unit, n int) int {
 	return 0
 }
 
-// stats snapshots the solve/reuse counters. Called from observer goroutines;
-// the counters are only written by the plan stage, so a torn read costs at
-// most an off-by-one in a monitoring number.
+// stats snapshots the solve/reuse counters; safe from any goroutine.
 func (r *router) stats() RouterStats {
-	return RouterStats{Solves: r.solves, Reuses: r.reuses}
+	return RouterStats{Solves: r.solves.Load(), Reuses: r.reuses.Load()}
 }

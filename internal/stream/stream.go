@@ -37,10 +37,8 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,16 +80,6 @@ type Config struct {
 	Planner maintain.Planner
 	Params  maintain.Params
 
-	// QueueDepth bounds every inter-stage channel; a full downstream queue
-	// back-pressures the upstream stage (and ultimately Submit). Default 2.
-	QueueDepth int
-	// MaxRetries bounds how many isolated batch-at-a-time retries a failed
-	// batch gets in the sink before its error is surfaced. Default 2.
-	MaxRetries int
-	// DriftThreshold is the minimum chunk-touch coverage against the cached
-	// placement solve below which the router re-solves. Default 0.5.
-	DriftThreshold float64
-
 	ArrayPlacement cluster.Placement
 	ViewPlacement  cluster.Placement
 
@@ -105,11 +93,24 @@ type Config struct {
 	// maintains every chunk eagerly (deferral is the batch path's job);
 	// this keeps the classifier warm across both paths.
 	Adaptive *maintain.AdaptiveMaintainer
-
-	// Ctx, when non-nil, bounds every batch's execution (see
-	// maintain.Context.Ctx).
-	Ctx context.Context
 }
+
+const (
+	// queueDepth bounds every inter-stage channel; a full downstream queue
+	// back-pressures the upstream stage (and ultimately Submit). Two lets a
+	// stage finish a batch while its successor is still busy with the
+	// previous one, without letting admission run far ahead of the sink.
+	queueDepth = 2
+	// maxRetries bounds how many isolated batch-at-a-time retries a failed
+	// batch gets in the sink before its error is surfaced.
+	maxRetries = 2
+	// driftThreshold is the minimum chunk-touch coverage against the cached
+	// placement solve below which the router re-solves.
+	driftThreshold = 0.5
+	// nsTag marks the graph's scratch namespaces ("<base>#sdeltaSEQ",
+	// "<view>#stage-sSEQ"; see maintain.Batch.Tag).
+	nsTag = "s"
+)
 
 // Result is the terminal outcome of one submitted micro-batch.
 type Result struct {
@@ -125,11 +126,7 @@ type Result struct {
 	Reused bool
 	// Retries counts isolated re-executions after a pipelined failure.
 	Retries int
-	// Units, Transfers, Deferred describe the executed plan.
-	Units, Transfers, Deferred int
-	// MaintenanceSeconds is the plan's modeled cost (cluster.Ledger).
-	MaintenanceSeconds float64
-	// Trace carries the batch's phase spans.
+	// Trace carries the phase spans of the attempt that settled the batch.
 	Trace *obs.Trace
 }
 
@@ -142,9 +139,6 @@ type Ticket struct {
 // Wait blocks until the batch is terminal and returns its result.
 func (t *Ticket) Wait() Result { <-t.done; return t.res }
 
-// Done is closed when the batch is terminal.
-func (t *Ticket) Done() <-chan struct{} { return t.done }
-
 // Stats is a point-in-time picture of the pipeline.
 type Stats struct {
 	Stages   []obs.StageSnapshot `json:"stages"`
@@ -156,14 +150,12 @@ type Stats struct {
 
 // inflight is the conflict-tracking record of one admitted, not yet terminal
 // batch. writeSet and newKeys are immutable after admission; done is closed
-// by the sink (after aborted is set), which is what the commit fence waits
-// on.
+// by the sink once the batch is terminal, which is what the commit fence
+// waits on.
 type inflight struct {
-	seq      int
 	writeSet map[chunkID]bool
 	newKeys  []array.ChunkKey
 	done     chan struct{}
-	aborted  bool
 }
 
 // batch carries one micro-batch through the stages. Exactly one stage owns
@@ -172,45 +164,37 @@ type batch struct {
 	delta  *array.Array
 	ticket *Ticket
 
-	seq     int
-	ctx     *maintain.Context
+	seq     int                // admission sequence: the first attempt's namespace number
+	prep    *maintain.Prepared // nil until staged; the latest attempt's
 	flight  *inflight
 	fences  []*inflight
 	dirty   map[chunkID]bool
-	plan    *maintain.Plan
 	defers  []claim // transfers deferred past the commit fence, sorted
 	reused  bool
 	staged  *maintain.Staged
 	claims  []claim
 	retries int
 	epoch   uint64
-	ledger  *cluster.Ledger
 	err     error
 }
 
 // Graph is the running pipeline. Submit admits micro-batches; five stage
 // goroutines carry them to the commit sink; Close drains.
 type Graph struct {
-	cfg     Config
-	cl      *cluster.Cluster
-	def     *view.Definition
-	router  *router
-	claims  *claimTable
-	history *maintain.History
-	rng     *rand.Rand // source-stage goroutine only
-	runCtx  context.Context
+	cl       *cluster.Cluster
+	def      *view.Definition
+	m        *maintain.Maintainer // the batch pipeline every stage drives
+	adaptive *maintain.AdaptiveMaintainer
+	router   *router
+	claims   *claimTable
 
 	chans [numStages]chan *batch
 	ctrs  [numStages]obs.StageCounters
 	wg    sync.WaitGroup
 
-	ns     atomic.Int64 // scratch namespace sequence (pipelined + isolated runs)
 	closed atomic.Bool
 	// submitMu serializes Submit sends against Close's channel close.
 	submitMu sync.RWMutex
-	// histMu guards the history window: the router stage reads it during
-	// full solves while the sink records committed batches into it.
-	histMu sync.Mutex
 
 	mu   sync.Mutex
 	live []*inflight
@@ -219,7 +203,8 @@ type Graph struct {
 	retries obs.Counter
 }
 
-// NewGraph validates the configuration and starts the stage goroutines.
+// NewGraph builds the graph's Maintainer (which validates the configuration)
+// and starts the stage goroutines.
 func NewGraph(cfg Config) (*Graph, error) {
 	if cfg.Cluster == nil || cfg.Def == nil {
 		return nil, errors.New("stream: nil cluster or definition")
@@ -227,52 +212,25 @@ func NewGraph(cfg Config) (*Graph, error) {
 	if !cfg.Def.SelfJoin() {
 		return nil, fmt.Errorf("stream: view %s joins two arrays; streaming supports self-join views", cfg.Def.Name)
 	}
-	if err := cfg.Params.Validate(); err != nil {
+	m, err := maintain.NewMaintainer(cfg.Cluster, cfg.Def, cfg.Planner, cfg.Params)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Cluster.Catalog().Schema(cfg.Def.Alpha.Name) == nil {
-		return nil, fmt.Errorf("stream: base array %q not loaded", cfg.Def.Alpha.Name)
-	}
-	if cfg.Planner == nil {
-		cfg.Planner = maintain.Reassign{}
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 2
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 2
-	}
-	if cfg.DriftThreshold <= 0 {
-		cfg.DriftThreshold = 0.5
-	}
-	if cfg.ArrayPlacement == nil {
-		cfg.ArrayPlacement = cluster.HashPlacement{}
-	}
-	if cfg.ViewPlacement == nil {
-		cfg.ViewPlacement = cluster.HashPlacement{}
-	}
-	if cfg.Ctx == nil {
-		cfg.Ctx = context.Background()
-	}
-	if rf, ok := cfg.Cluster.Fabric().(interface {
-		RegisterView(*view.Definition) error
-	}); ok {
-		if err := rf.RegisterView(cfg.Def); err != nil {
-			return nil, fmt.Errorf("stream: registering view on fabric: %w", err)
-		}
-	}
+	m.SetPlacements(cfg.ArrayPlacement, cfg.ViewPlacement)
 	g := &Graph{
-		cfg:     cfg,
-		cl:      cfg.Cluster,
-		def:     cfg.Def,
-		router:  newRouter(cfg.Planner, cfg.DriftThreshold, heavyFnOf(cfg.Adaptive)),
-		claims:  newClaimTable(cfg.Cluster),
-		history: maintain.NewHistory(cfg.Params.Window),
-		rng:     rand.New(rand.NewSource(cfg.Params.Seed)),
-		runCtx:  cfg.Ctx,
+		cl:       cfg.Cluster,
+		def:      cfg.Def,
+		m:        m,
+		adaptive: cfg.Adaptive,
+		router:   newRouter(m.Planner()),
+		claims:   newClaimTable(cfg.Cluster),
+	}
+	if cfg.Adaptive != nil {
+		cfg.Adaptive.ShareMemo(m)
+		g.router.heavy = cfg.Adaptive.IsHeavy
 	}
 	for i := range g.chans {
-		g.chans[i] = make(chan *batch, cfg.QueueDepth)
+		g.chans[i] = make(chan *batch, queueDepth)
 	}
 	works := [numStages]func(*batch){
 		stSource:   g.sourceWork,
@@ -303,15 +261,7 @@ func (g *Graph) Submit(delta *array.Array) (*Ticket, error) {
 		return nil, ErrClosed
 	}
 	b := &batch{delta: delta, ticket: &Ticket{done: make(chan struct{})}}
-	g.ctrs[stSource].Depth.Add(1)
-	select {
-	case g.chans[stSource] <- b:
-	default:
-		g.ctrs[stSource].Stalls.Add(1)
-		start := time.Now()
-		g.chans[stSource] <- b
-		g.ctrs[stSource].StallNanos.Add(time.Since(start).Nanoseconds())
-	}
+	g.forward(stSource, stSource, b) // a full source queue stalls the source itself
 	return b.ticket, nil
 }
 
@@ -390,43 +340,16 @@ func (g *Graph) forward(from, to stageID, b *batch) {
 	g.ctrs[from].StallNanos.Add(time.Since(start).Nanoseconds())
 }
 
-// deltaName returns the scratch namespace of a batch's staged delta.
-func (g *Graph) deltaName(seq int) string {
-	return fmt.Sprintf("%s#sdelta%d", g.def.Alpha.Name, seq)
-}
-
-// stageDeltaChunks registers a delta namespace and stages the delta's chunks
-// at the coordinator (mirrors Maintainer.stage).
-func (g *Graph) stageDeltaChunks(name string, delta *array.Array) error {
-	schema := *g.cl.Catalog().Schema(g.def.Alpha.Name)
-	schema.Name = name
-	if err := g.cl.Catalog().Register(&schema); err != nil {
-		return err
-	}
-	var chunks []*array.Chunk
-	delta.EachChunk(func(c *array.Chunk) bool {
-		chunks = append(chunks, c)
-		return true
-	})
-	return g.cl.StageDelta(name, chunks)
-}
-
-// sourceWork admits a batch: stage the delta, compute its write set, snapshot
-// the in-flight predecessors, generate units against catalog + pending
-// chunks, and build the maintenance context under a private scratch suffix.
+// sourceWork admits a batch: compute its write set, snapshot the in-flight
+// predecessors, and prepare it — stage the delta, generate units against
+// catalog + pending chunks, build the maintenance context — under a private
+// scratch namespace.
 func (g *Graph) sourceWork(b *batch) {
-	b.seq = int(g.ns.Add(1))
 	alpha := g.def.Alpha.Name
-	deltaName := g.deltaName(b.seq)
-	if err := g.stageDeltaChunks(deltaName, b.delta); err != nil {
-		b.err = err
-		return
-	}
 	cat := g.cl.Catalog()
-
 	writeSet := make(map[chunkID]bool)
 	var newKeys []array.ChunkKey
-	for _, k := range cat.Keys(deltaName) {
+	for _, k := range b.delta.ChunkKeys() {
 		writeSet[chunkID{alpha, k}] = true
 		if _, ok := cat.Home(alpha, k); !ok {
 			newKeys = append(newKeys, k)
@@ -435,7 +358,7 @@ func (g *Graph) sourceWork(b *batch) {
 
 	g.mu.Lock()
 	preds := append([]*inflight(nil), g.live...)
-	b.flight = &inflight{seq: b.seq, writeSet: writeSet, newKeys: newKeys, done: make(chan struct{})}
+	b.flight = &inflight{writeSet: writeSet, newKeys: newKeys, done: make(chan struct{})}
 	g.live = append(g.live, b.flight)
 	g.mu.Unlock()
 
@@ -459,55 +382,34 @@ func (g *Graph) sourceWork(b *batch) {
 	}
 	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
 
-	dirty := b.dirty
-	gen := &view.UnitGen{
-		Catalog: cat, Def: g.def,
-		BaseAlpha: alpha, BaseBeta: g.def.Beta.Name,
-		DeltaAlpha: deltaName, DeltaBeta: deltaName,
-		CellPruning:  g.cfg.Params.CellPruning,
-		PendingAlpha: pending,
-		DirtyBase: func(name string, key array.ChunkKey) bool {
-			return dirty[chunkID{name, key}]
+	b.prep, b.err = g.m.Prepare(maintain.Batch{
+		Alpha:   b.delta,
+		Tag:     nsTag,
+		Pending: pending,
+		Dirty: func(name string, key array.ChunkKey) bool {
+			return b.dirty[chunkID{name, key}]
 		},
-	}
-	units, err := gen.Generate()
-	if err != nil {
-		b.err = err
+		Keep: g.claims.keep,
+	})
+	if b.err != nil {
 		return
 	}
-
-	params := g.cfg.Params
-	params.Seed = g.rng.Int63()
-	ctx, err := maintain.NewContext(g.cl, g.def, units,
-		alpha, g.def.Beta.Name, deltaName, deltaName,
-		g.def.Name, g.history, params)
-	if err != nil {
-		b.err = err
-		return
+	b.seq = b.prep.Seq
+	if g.adaptive != nil {
+		g.adaptive.Observe(b.delta.ChunkKeys())
 	}
-	ctx.ArrayPlacement = g.cfg.ArrayPlacement
-	ctx.ViewPlacement = g.cfg.ViewPlacement
-	ctx.ScratchSuffix = fmt.Sprintf("-s%d", b.seq)
-	ctx.RetireOnCommit = true // every graph batch is one input batch
-	ctx.Trace = obs.NewTrace()
-	ctx.Ctx = g.runCtx
-	if g.cfg.Adaptive != nil {
-		g.cfg.Adaptive.Observe(b.delta.ChunkKeys())
-		ctx.JoinMemo = g.cfg.Adaptive.Memo()
-	}
-	b.ctx = ctx
 
 	// Fence on every predecessor whose write set intersects our base reads.
 	for _, p := range preds {
-		if unitsTouch(units, ctx, p.writeSet) {
+		if unitsTouch(b.prep.Ctx, p.writeSet) {
 			b.fences = append(b.fences, p)
 		}
 	}
 }
 
 // unitsTouch reports whether any unit's base-side input is in the write set.
-func unitsTouch(units []view.Unit, ctx *maintain.Context, ws map[chunkID]bool) bool {
-	for _, u := range units {
+func unitsTouch(ctx *maintain.Context, ws map[chunkID]bool) bool {
+	for _, u := range ctx.Units {
 		for _, ref := range [2]view.ChunkRef{u.P, u.Q} {
 			if !ctx.IsDelta(ref) && ws[chunkID{ref.Array, ref.Key}] {
 				return true
@@ -521,15 +423,14 @@ func unitsTouch(units []view.Unit, ctx *maintain.Context, ws map[chunkID]bool) b
 // must wait for the commit fence, claims the scratch replicas its joins
 // read, and opens the staged execution (validate + charge).
 func (g *Graph) routeWork(b *batch) {
-	g.histMu.Lock()
-	plan, reused, err := g.router.plan(b.ctx, len(b.fences) > 0)
-	g.histMu.Unlock()
+	ctx := b.prep.Ctx
+	plan, reused, err := g.router.plan(ctx, len(b.fences) > 0)
 	if err != nil {
 		b.err = err
 		return
 	}
-	b.plan, b.reused = plan, reused
-	b.claims = claimsFor(b.ctx, plan)
+	b.reused = reused
+	b.claims = claimsFor(ctx, plan)
 	// Every dirty chunk a join reads waits for the commit fence — also one
 	// that needs no ship because it is homed at its join site today: the
 	// predecessor's commit may rehome it, leaving the site a stale copy.
@@ -539,7 +440,7 @@ func (g *Graph) routeWork(b *batch) {
 		}
 	}
 	g.claims.acquire(b.claims)
-	b.staged, err = maintain.BeginStaged(b.ctx, plan)
+	b.staged, err = maintain.BeginStaged(ctx, plan)
 	if err != nil {
 		b.err = err
 	}
@@ -568,7 +469,7 @@ func (g *Graph) joinWork(b *batch) {
 		<-f.done
 	}
 	if len(b.defers) > 0 {
-		stop := b.ctx.Trace.Start(obs.PhaseTransfer)
+		stop := b.prep.Ctx.Trace.Start(obs.PhaseTransfer)
 		err := g.catchUpTransfers(b)
 		stop()
 		if err != nil {
@@ -603,69 +504,45 @@ func (g *Graph) catchUpTransfers(b *batch) error {
 	return nil
 }
 
-// appliedSink is the optional capability of a durable sink that tracks the
-// applied input-batch cursor (implemented by wal.Durable). The sink uses it
-// to record batches that terminated without a retiring commit barrier, so
-// restart resume stays aligned with admission order.
-type appliedSink interface {
-	Applied() uint64
-	RetireBarrier() error
+// sinkWork is the merge/commit sink: the only stage that commits, aborts, or
+// publishes epochs — and therefore the only one that writes durable
+// barriers — in admission order. A batch that is terminal without a retiring
+// barrier (every attempt failed) still consumes its slot of the input feed;
+// the skip barrier is best-effort (see maintain.RetireSkipped).
+func (g *Graph) sinkWork(b *batch) {
+	_ = maintain.RetireSkipped(g.cl, func() { g.settle(b) })
+	g.finish(b)
 }
 
-// sinkWork is the merge/commit sink: the only stage that commits, aborts, or
-// publishes epochs, in admission order. Failed batches are rolled back and
-// retried as isolated batch-at-a-time runs with a bounded budget.
-func (g *Graph) sinkWork(b *batch) {
-	// The sink is the only stage that writes barriers, so comparing the
-	// applied cursor across this batch's terminal handling is race-free.
-	var as appliedSink
-	var before uint64
-	if d := g.cl.Durable(); d != nil {
-		if s, ok := d.(appliedSink); ok {
-			as, before = s, s.Applied()
-		}
-	}
+// settle commits the batch, or rolls it back and retries it as isolated
+// batch-at-a-time runs with a bounded budget.
+func (g *Graph) settle(b *batch) {
 	if b.err == nil && b.staged != nil {
 		b.staged.CaptureSnapshots()
 		if err := b.staged.Commit(); err != nil {
 			b.err = err
 		} else {
 			b.epoch = g.cl.Epochs().Publish()
-			b.ledger = b.staged.Ledger()
-			g.histMu.Lock()
-			g.history.Record(b.ctx)
-			g.histMu.Unlock()
-			b.staged.KeepScratch(g.claims.keep)
+			g.m.History().Record(b.prep.Ctx)
 			b.staged.Cleanup()
 		}
 	}
-	if b.err != nil {
-		g.aborts.Add(1)
-		if b.staged != nil {
-			b.staged.KeepScratch(g.claims.keep)
-			_ = b.staged.Abort(b.err)
-		} else if b.seq > 0 {
-			// Failed before BeginStaged: only the staged delta namespace
-			// exists; drop it.
-			_, _ = g.cl.DropArrayAt(cluster.Coordinator, g.deltaName(b.seq))
-			g.cl.Catalog().Drop(g.deltaName(b.seq))
-		}
-		for b.err != nil && b.retries < g.cfg.MaxRetries {
-			b.retries++
-			g.retries.Add(1)
-			b.err = g.runIsolated(b)
-		}
+	if b.err == nil {
+		return
 	}
-	if as != nil && as.Applied() == before {
-		// The batch is terminal without a retiring commit barrier — every
-		// attempt failed, or it never reached its barrier. Record the
-		// consumed input batch (best-effort) so a restart resumes after it
-		// instead of replaying it out of admission order; if even this
-		// barrier fails, resume re-runs the batch from clean pre-batch
-		// state, which is safe.
-		_ = as.RetireBarrier()
+	g.aborts.Add(1)
+	if b.staged != nil {
+		_ = b.staged.Abort(b.err)
+	} else if b.prep != nil {
+		// Died between Prepare and BeginStaged: only the staged delta
+		// namespace exists.
+		g.m.Discard(b.prep)
 	}
-	g.finish(b)
+	for b.err != nil && b.retries < maxRetries {
+		b.retries++
+		g.retries.Add(1)
+		b.err = g.runIsolated(b)
+	}
 }
 
 // runIsolated re-executes a failed batch start-to-finish on the sink
@@ -674,70 +551,20 @@ func (g *Graph) sinkWork(b *batch) {
 // configured planner solves fresh. Successor claims are still honored during
 // cleanup — successors may be mid-join concurrently.
 func (g *Graph) runIsolated(b *batch) error {
-	seq := int(g.ns.Add(1))
-	alpha := g.def.Alpha.Name
-	deltaName := g.deltaName(seq)
-	if err := g.stageDeltaChunks(deltaName, b.delta); err != nil {
-		return err
-	}
-	gen := &view.UnitGen{
-		Catalog: g.cl.Catalog(), Def: g.def,
-		BaseAlpha: alpha, BaseBeta: g.def.Beta.Name,
-		DeltaAlpha: deltaName, DeltaBeta: deltaName,
-		CellPruning: g.cfg.Params.CellPruning,
-	}
-	units, err := gen.Generate()
+	prep, err := g.m.Prepare(maintain.Batch{Alpha: b.delta, Tag: nsTag, Keep: g.claims.keep})
 	if err != nil {
 		return err
 	}
-	params := g.cfg.Params
-	params.Seed = int64(seq) // deterministic, distinct per attempt
-	ctx, err := maintain.NewContext(g.cl, g.def, units,
-		alpha, g.def.Beta.Name, deltaName, deltaName,
-		g.def.Name, g.history, params)
+	b.prep = prep
+	plan, err := g.m.Plan(prep)
 	if err != nil {
 		return err
 	}
-	ctx.ArrayPlacement = g.cfg.ArrayPlacement
-	ctx.ViewPlacement = g.cfg.ViewPlacement
-	ctx.ScratchSuffix = fmt.Sprintf("-s%d", seq)
-	ctx.RetireOnCommit = true // retries still consume the same input batch
-	ctx.Trace = obs.NewTrace()
-	if b.ctx != nil && b.ctx.Trace != nil {
-		ctx.Trace = b.ctx.Trace
-	}
-	ctx.Ctx = g.runCtx
-	if g.cfg.Adaptive != nil {
-		ctx.JoinMemo = g.cfg.Adaptive.Memo()
-	}
-	g.histMu.Lock()
-	plan, err := g.cfg.Planner.Plan(ctx)
-	g.histMu.Unlock()
+	rep, err := g.m.Run(prep, plan)
 	if err != nil {
 		return err
 	}
-	s, err := maintain.BeginStaged(ctx, plan)
-	if err != nil {
-		return err
-	}
-	s.KeepScratch(g.claims.keep)
-	s.CaptureSnapshots()
-	if err := s.RunTransfers(nil); err != nil {
-		return s.Abort(err)
-	}
-	if err := s.RunJoins(); err != nil {
-		return s.Abort(err)
-	}
-	if err := s.Commit(); err != nil {
-		return s.Abort(err)
-	}
-	s.Cleanup()
-	b.epoch = g.cl.Epochs().Publish()
-	b.ledger = s.Ledger()
-	b.plan = plan
-	g.histMu.Lock()
-	g.history.Record(ctx)
-	g.histMu.Unlock()
+	b.epoch = rep.Epoch
 	return nil
 }
 
@@ -748,7 +575,6 @@ func (g *Graph) finish(b *batch) {
 		g.claims.release(b.claims)
 	}
 	if b.flight != nil {
-		b.flight.aborted = b.err != nil
 		g.mu.Lock()
 		for i, f := range g.live {
 			if f == b.flight {
@@ -759,24 +585,9 @@ func (g *Graph) finish(b *batch) {
 		g.mu.Unlock()
 		close(b.flight.done)
 	}
-	res := Result{
-		Seq:      b.seq,
-		Err:      b.err,
-		Epoch:    b.epoch,
-		Reused:   b.reused,
-		Retries:  b.retries,
-		Deferred: len(b.defers),
+	b.ticket.res = Result{Seq: b.seq, Err: b.err, Epoch: b.epoch, Reused: b.reused, Retries: b.retries}
+	if b.prep != nil {
+		b.ticket.res.Trace = b.prep.Ctx.Trace
 	}
-	if b.ctx != nil {
-		res.Units = len(b.ctx.Units)
-		res.Trace = b.ctx.Trace
-	}
-	if b.plan != nil {
-		res.Transfers = b.plan.NumTransfers()
-	}
-	if b.ledger != nil {
-		res.MaintenanceSeconds = b.ledger.Cost()
-	}
-	b.ticket.res = res
 	close(b.ticket.done)
 }

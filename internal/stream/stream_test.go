@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -261,26 +262,59 @@ func TestGraphMatchesBatchReplay(t *testing.T) {
 	}
 }
 
+// noPlan is a planner whose every solve fails.
+type noPlan struct{}
+
+func (noPlan) Name() string { return "no-plan" }
+func (noPlan) Plan(*maintain.Context) (*maintain.Plan, error) {
+	return nil, errors.New("no plan today")
+}
+
 // TestGraphScratchNamespacesScrubbed checks that a drained pipeline leaves
 // no scratch namespaces behind: every "#sdelta"/"#stage" array is gone from
-// the catalog.
+// the catalog and the coordinator's store — after committed batches, and
+// after a batch whose pipelined attempt and every isolated retry died in the
+// planner, before the executor had anything to abort.
 func TestGraphScratchNamespacesScrubbed(t *testing.T) {
-	used := make(map[string]bool)
-	cl, def, _ := streamFixture(t, 4, used)
-	deltas := makeDeltas(t, rand.New(rand.NewSource(8)), used, 5, 8, 1, 24, 1, 24)
-	g, err := NewGraph(Config{Cluster: cl, Def: def, Params: maintain.DefaultParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range drainAll(t, g, deltas) {
-		if r.Err != nil {
-			t.Fatalf("batch %d failed: %v", i, r.Err)
-		}
-	}
-	for _, name := range cl.Catalog().Names() {
-		if strings.Contains(name, "#") {
-			t.Fatalf("scratch namespace %q survived the drain", name)
-		}
+	for _, tc := range []struct {
+		name    string
+		planner maintain.Planner
+		batches int
+		fails   bool
+	}{
+		{"committed", nil, 5, false},
+		{"planner fails, retries exhausted", noPlan{}, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			used := make(map[string]bool)
+			cl, def, _ := streamFixture(t, 4, used)
+			deltas := makeDeltas(t, rand.New(rand.NewSource(8)), used, tc.batches, 8, 1, 24, 1, 24)
+			g, err := NewGraph(Config{Cluster: cl, Def: def, Planner: tc.planner, Params: maintain.DefaultParams()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			attempts := 0
+			for i, r := range drainAll(t, g, deltas) {
+				if (r.Err != nil) != tc.fails {
+					t.Fatalf("batch %d: err = %v, want failure %v", i, r.Err, tc.fails)
+				}
+				if tc.fails && r.Retries != maxRetries {
+					t.Fatalf("batch %d gave up after %d retries, want %d", i, r.Retries, maxRetries)
+				}
+				attempts += 1 + r.Retries
+			}
+			for _, name := range cl.Catalog().Names() {
+				if strings.Contains(name, "#") {
+					t.Errorf("scratch namespace %q survived the drain", name)
+				}
+			}
+			for seq := 1; seq <= attempts; seq++ {
+				name := fmt.Sprintf("A#sdelta%d", seq)
+				if keys, err := cl.KeysAt(cluster.Coordinator, name); err != nil || len(keys) > 0 {
+					t.Errorf("coordinator still holds %d chunks of %s (err %v)", len(keys), name, err)
+				}
+			}
+		})
 	}
 }
 
@@ -392,10 +426,27 @@ func TestGraphSnapshotAuditWhileStreaming(t *testing.T) {
 		}()
 	}
 
+	// A monitor polls Stats while the plan stage counts solves and reuses.
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = g.Stats()
+			}
+		}
+	}()
+
 	deltas := makeDeltas(t, rand.New(rand.NewSource(13)), used, 8, 8, 1, 20, 1, 20)
 	results := drainAll(t, g, deltas)
 	close(stop)
 	readers.Wait()
+	if rt := g.Stats().Router; rt.Solves+rt.Reuses != int64(len(deltas)) {
+		t.Fatalf("router planned %d batches, want %d", rt.Solves+rt.Reuses, len(deltas))
+	}
 
 	epochs := make([]uint64, 0, len(results))
 	for i, r := range results {

@@ -182,7 +182,9 @@ type Message struct {
 	Both bool
 	Sign float64
 
-	// Spec is a gob-encoded view definition (RegisterView).
+	// Spec is an encoded document the frame layer does not interpret: a
+	// view definition (RegisterView), a query shape (Query), the serving
+	// statistics (SnapshotReply).
 	Spec []byte
 
 	// Wire-efficiency fields. Items carries batched chunk identities —
@@ -204,50 +206,11 @@ type Message struct {
 	// Serving fields. Mode is the query.Mode of a Query request (its shape
 	// travels gob-encoded in Spec). Epoch tags a QueryResult with the
 	// snapshot epoch it was answered at (its result chunks travel in Chunks
-	// and Flag reports whether the view path was used) and a SnapshotReply
-	// with the daemon's current epoch; the remaining counters are the
-	// SnapshotReply statistics.
-	Mode          uint8
-	Epoch         uint64
-	Pins          int64 // SnapshotReply: live snapshot pins
-	Retained      int64 // SnapshotReply: retained chunk versions
-	RetainedBytes int64 // SnapshotReply: bytes held by retained versions
-	CacheHits     int64 // SnapshotReply: read-cache hits
-	CacheMisses   int64 // SnapshotReply: read-cache misses
-	CacheBytes    int64 // SnapshotReply: read-cache footprint
-	Queries       int64 // SnapshotReply: queries admitted
-	Rejected      int64 // SnapshotReply: queries rejected by admission
-	// Adaptive-maintenance counters (SnapshotReply; zero when the daemon
-	// maintains all-eagerly).
-	HeavyChunks   int64 // classes currently heavy
-	LightChunks   int64 // classes seen but light
-	PendingChunks int64 // chunks with deferred deltas
-	PendingCells  int64 // deferred cells outstanding
-	Deferred      int64 // delta chunks routed to the pending log
-	LazyMats      int64 // entries materialized on query touch
-	Drained       int64 // entries materialized by drainer/conflict
-	Promotions    int64 // light→heavy transitions
-	Demotions     int64 // heavy→light transitions
-	MemoHits      int64 // cached-join-state hits
-	MemoMisses    int64 // cached-join-state misses
-	// Durable-store counters (SnapshotReply; zero when the daemon runs
-	// in-memory).
-	DurCommits     int64 // commit barriers written
-	DurRollbacks   int64 // rollback barriers written
-	DurCheckpoints int64 // checkpoint compactions
-	DurWALBytes    int64 // bytes appended to WALs
-	DurSegBytes    int64 // chunk-body bytes appended to segments
-	DurSyncs       int64 // fsyncs issued
-	// Query fast-path counters (SnapshotReply; zero when the daemon serves
-	// cold).
-	FPViewHits          int64 // answers served from a cached assembled view
-	FPViewMisses        int64 // answers that gathered the view cold
-	FPViewBytes         int64 // bytes pinned by cached views
-	FPViewEvictions     int64 // cached views dropped for capacity
-	FPViewInvalidations int64 // cached views dropped by epoch publish
-	FPMemoHits          int64 // plan-memo hits
-	FPMemoMisses        int64 // plan-memo misses
-	FPSolveSkips        int64 // placement solves skipped via the memo
+	// and Flag reports whether the view path was used). A SnapshotReply
+	// carries the daemon's statistics as one encoded document in Spec; the
+	// serving layer owns its format, so a new counter is not a wire change.
+	Mode  uint8
+	Epoch uint64
 }
 
 // appendStr appends a u32-length-prefixed string.
@@ -260,12 +223,6 @@ func appendStr(buf []byte, s string) []byte {
 func appendBytes(buf []byte, b []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
 	return append(buf, b...)
-}
-
-// EncodePayload serializes the message's payload (everything after the
-// type byte) into a fresh buffer.
-func EncodePayload(m *Message) []byte {
-	return appendPayload(nil, m)
 }
 
 // appendPayload appends the message's payload to buf, which may be a
@@ -287,7 +244,7 @@ func appendPayload(buf []byte, m *Message) []byte {
 		buf = appendBytes(buf, m.Chunk)
 	case MsgKeys, MsgDropArray:
 		buf = appendStr(buf, m.Array)
-	case MsgRegisterView:
+	case MsgRegisterView, MsgSnapshotReply:
 		buf = appendBytes(buf, m.Spec)
 	case MsgOfferBatch, MsgGetBatch, MsgPutBatch:
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Items)))
@@ -362,20 +319,6 @@ func appendPayload(buf []byte, m *Message) []byte {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Chunks)))
 		for _, c := range m.Chunks {
 			buf = appendBytes(buf, c)
-		}
-	case MsgSnapshotReply:
-		buf = binary.BigEndian.AppendUint64(buf, m.Epoch)
-		for _, v := range []int64{m.Pins, m.Retained, m.RetainedBytes,
-			m.CacheHits, m.CacheMisses, m.CacheBytes, m.Queries, m.Rejected,
-			m.HeavyChunks, m.LightChunks, m.PendingChunks, m.PendingCells,
-			m.Deferred, m.LazyMats, m.Drained, m.Promotions, m.Demotions,
-			m.MemoHits, m.MemoMisses,
-			m.DurCommits, m.DurRollbacks, m.DurCheckpoints, m.DurWALBytes,
-			m.DurSegBytes, m.DurSyncs,
-			m.FPViewHits, m.FPViewMisses, m.FPViewBytes, m.FPViewEvictions,
-			m.FPViewInvalidations, m.FPMemoHits, m.FPMemoMisses,
-			m.FPSolveSkips} {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(v))
 		}
 	}
 	return buf
@@ -472,7 +415,7 @@ func DecodePayload(t MsgType, payload []byte) (*Message, error) {
 		m.Chunk = cloneBytes(r.bytes())
 	case MsgKeys, MsgDropArray:
 		m.Array = r.str()
-	case MsgRegisterView:
+	case MsgRegisterView, MsgSnapshotReply:
 		m.Spec = cloneBytes(r.bytes())
 	case MsgOfferBatch, MsgGetBatch, MsgPutBatch:
 		n := int(r.u32())
@@ -549,20 +492,6 @@ func DecodePayload(t MsgType, payload []byte) (*Message, error) {
 		}
 		for i := 0; i < n && r.err == nil; i++ {
 			m.Chunks = append(m.Chunks, cloneBytes(r.bytes()))
-		}
-	case MsgSnapshotReply:
-		m.Epoch = r.u64()
-		for _, p := range []*int64{&m.Pins, &m.Retained, &m.RetainedBytes,
-			&m.CacheHits, &m.CacheMisses, &m.CacheBytes, &m.Queries, &m.Rejected,
-			&m.HeavyChunks, &m.LightChunks, &m.PendingChunks, &m.PendingCells,
-			&m.Deferred, &m.LazyMats, &m.Drained, &m.Promotions, &m.Demotions,
-			&m.MemoHits, &m.MemoMisses,
-			&m.DurCommits, &m.DurRollbacks, &m.DurCheckpoints, &m.DurWALBytes,
-			&m.DurSegBytes, &m.DurSyncs,
-			&m.FPViewHits, &m.FPViewMisses, &m.FPViewBytes, &m.FPViewEvictions,
-			&m.FPViewInvalidations, &m.FPMemoHits, &m.FPMemoMisses,
-			&m.FPSolveSkips} {
-			*p = int64(r.u64())
 		}
 	default:
 		return nil, fmt.Errorf("transport: unknown message type %d", uint8(t))

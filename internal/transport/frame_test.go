@@ -57,7 +57,7 @@ func genMessage(t MsgType, r *rand.Rand) *Message {
 		m.Chunk = quickBytes(r)
 	case MsgKeys, MsgDropArray:
 		m.Array = quickString(r)
-	case MsgRegisterView:
+	case MsgRegisterView, MsgSnapshotReply:
 		m.Spec = quickBytes(r)
 	case MsgOfferBatch, MsgGetBatch, MsgPutBatch:
 		for i, n := 0, r.Intn(5); i < n; i++ {
@@ -114,41 +114,6 @@ func genMessage(t MsgType, r *rand.Rand) *Message {
 		for i, n := 0, r.Intn(5); i < n; i++ {
 			m.Chunks = append(m.Chunks, quickBytes(r))
 		}
-	case MsgSnapshotReply:
-		m.Epoch = r.Uint64()
-		m.Pins = int64(r.Uint64())
-		m.Retained = int64(r.Uint64())
-		m.RetainedBytes = int64(r.Uint64())
-		m.CacheHits = int64(r.Uint64())
-		m.CacheMisses = int64(r.Uint64())
-		m.CacheBytes = int64(r.Uint64())
-		m.Queries = int64(r.Uint64())
-		m.Rejected = int64(r.Uint64())
-		m.HeavyChunks = int64(r.Uint64())
-		m.LightChunks = int64(r.Uint64())
-		m.PendingChunks = int64(r.Uint64())
-		m.PendingCells = int64(r.Uint64())
-		m.Deferred = int64(r.Uint64())
-		m.LazyMats = int64(r.Uint64())
-		m.Drained = int64(r.Uint64())
-		m.Promotions = int64(r.Uint64())
-		m.Demotions = int64(r.Uint64())
-		m.MemoHits = int64(r.Uint64())
-		m.MemoMisses = int64(r.Uint64())
-		m.DurCommits = int64(r.Uint64())
-		m.DurRollbacks = int64(r.Uint64())
-		m.DurCheckpoints = int64(r.Uint64())
-		m.DurWALBytes = int64(r.Uint64())
-		m.DurSegBytes = int64(r.Uint64())
-		m.DurSyncs = int64(r.Uint64())
-		m.FPViewHits = int64(r.Uint64())
-		m.FPViewMisses = int64(r.Uint64())
-		m.FPViewBytes = int64(r.Uint64())
-		m.FPViewEvictions = int64(r.Uint64())
-		m.FPViewInvalidations = int64(r.Uint64())
-		m.FPMemoHits = int64(r.Uint64())
-		m.FPMemoMisses = int64(r.Uint64())
-		m.FPSolveSkips = int64(r.Uint64())
 	default:
 		panic("unhandled type in generator: " + t.String())
 	}
@@ -164,32 +129,7 @@ func equalMessages(a, b *Message) bool {
 		a.Both != b.Both || a.MergeKind != b.MergeKind ||
 		a.Flag != b.Flag || a.Count != b.Count || a.Err != b.Err ||
 		a.NumChunks != b.NumChunks || a.Bytes != b.Bytes ||
-		a.Hash != b.Hash || a.Mode != b.Mode || a.Epoch != b.Epoch ||
-		a.Pins != b.Pins || a.Retained != b.Retained ||
-		a.RetainedBytes != b.RetainedBytes ||
-		a.CacheHits != b.CacheHits || a.CacheMisses != b.CacheMisses ||
-		a.CacheBytes != b.CacheBytes ||
-		a.Queries != b.Queries || a.Rejected != b.Rejected {
-		return false
-	}
-	if a.HeavyChunks != b.HeavyChunks || a.LightChunks != b.LightChunks ||
-		a.PendingChunks != b.PendingChunks || a.PendingCells != b.PendingCells ||
-		a.Deferred != b.Deferred || a.LazyMats != b.LazyMats ||
-		a.Drained != b.Drained || a.Promotions != b.Promotions ||
-		a.Demotions != b.Demotions ||
-		a.MemoHits != b.MemoHits || a.MemoMisses != b.MemoMisses {
-		return false
-	}
-	if a.DurCommits != b.DurCommits || a.DurRollbacks != b.DurRollbacks ||
-		a.DurCheckpoints != b.DurCheckpoints || a.DurWALBytes != b.DurWALBytes ||
-		a.DurSegBytes != b.DurSegBytes || a.DurSyncs != b.DurSyncs {
-		return false
-	}
-	if a.FPViewHits != b.FPViewHits || a.FPViewMisses != b.FPViewMisses ||
-		a.FPViewBytes != b.FPViewBytes || a.FPViewEvictions != b.FPViewEvictions ||
-		a.FPViewInvalidations != b.FPViewInvalidations ||
-		a.FPMemoHits != b.FPMemoHits || a.FPMemoMisses != b.FPMemoMisses ||
-		a.FPSolveSkips != b.FPSolveSkips {
+		a.Hash != b.Hash || a.Mode != b.Mode || a.Epoch != b.Epoch {
 		return false
 	}
 	if len(a.Items) != len(b.Items) {

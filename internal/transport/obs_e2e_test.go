@@ -47,7 +47,7 @@ func TestMetricsEndpointCountersMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lc.Close()
-	ms, err := transport.StartMetrics("127.0.0.1:0", lc.Servers[0])
+	ms, err := obs.StartMetrics("127.0.0.1:0", func() any { return lc.Servers[0].Stats() })
 	if err != nil {
 		t.Fatal(err)
 	}

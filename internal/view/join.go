@@ -7,8 +7,8 @@ import (
 
 // StateMergeSpec lowers the view's aggregate list to the declarative merge
 // spec a fabric can apply without function values: one state op per
-// physical slot of the view's state tuples. It is the wire form of
-// MergeStateChunks.
+// physical slot of the view's state tuples; local and remote merges both
+// apply it.
 func (d *Definition) StateMergeSpec() cluster.MergeSpec {
 	ops := make([]uint8, 0, d.StateWidth())
 	for _, a := range d.Aggs {

@@ -195,14 +195,3 @@ func MergeDelta(d *Definition, v, dv *array.Array) error {
 	})
 	return err
 }
-
-// MergeStateChunks is the chunk-level additive merge used by node stores:
-// src's state tuples are added into dst. It is the compiled form of
-// StateMergeSpec, so local and remote merges share one implementation.
-func MergeStateChunks(d *Definition) func(dst, src *array.Chunk) error {
-	fn, err := d.StateMergeSpec().Func()
-	if err != nil {
-		return func(*array.Chunk, *array.Chunk) error { return err }
-	}
-	return fn
-}
