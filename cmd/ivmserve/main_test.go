@@ -9,6 +9,7 @@ import (
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/bench"
 	"github.com/arrayview/arrayview/internal/cluster"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/maintain"
 	"github.com/arrayview/arrayview/internal/wal"
 	"github.com/arrayview/arrayview/internal/workload"
@@ -21,31 +22,28 @@ import (
 // commits it had acknowledged.
 func TestSigtermLosesNoCommittedBatches(t *testing.T) {
 	for _, tc := range []struct {
-		name               string
-		streamed, adaptive bool
+		name     string
+		streamed bool
+		adaptive *maintain.AdaptiveConfig
 	}{
 		{name: "eager"},
 		{name: "stream", streamed: true},
-		{name: "adaptive", adaptive: true},
+		{name: "adaptive", adaptive: adaptiveConfig()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sigtermLosesNoCommittedBatches(t, options{
-				dataset: "PTF-5", strategy: "reassign", small: true,
-				listen: "127.0.0.1:0", dataDir: t.TempDir(),
-				streamed: tc.streamed, adaptive: tc.adaptive,
+			sigtermLosesNoCommittedBatches(t, engine.Config{
+				Strategy: "reassign", Listen: "127.0.0.1:0", DataDir: t.TempDir(),
+				Streamed: tc.streamed, Adaptive: tc.adaptive,
 			})
 		})
 	}
 }
 
-func sigtermLosesNoCommittedBatches(t *testing.T, o options) {
-	dir := o.dataDir
+func sigtermLosesNoCommittedBatches(t *testing.T, cfg engine.Config) {
+	dir := cfg.DataDir
+	spec := bench.SmallSpec(bench.PTF5, workload.Real)
 	done := make(chan error, 1)
-	go func() {
-		o := o
-		o.interval = 120 * time.Millisecond
-		done <- run(o)
-	}()
+	go func() { done <- run(cfg, spec, 120*time.Millisecond, 0, "") }()
 	// Let some batches commit, then terminate mid-workload. run's
 	// signal.Notify intercepts the process-wide SIGTERM.
 	time.Sleep(500 * time.Millisecond)
@@ -61,7 +59,6 @@ func sigtermLosesNoCommittedBatches(t *testing.T, o options) {
 		t.Fatal("daemon did not shut down on SIGTERM")
 	}
 
-	spec := bench.SmallSpec(bench.PTF5, workload.Real)
 	_, rec, err := wal.Open(wal.NewOSFS(dir), spec.Nodes, wal.Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -133,11 +130,7 @@ func sigtermLosesNoCommittedBatches(t *testing.T, o options) {
 
 	// Restart on the same directory: the daemon recovers, resumes after
 	// batch k, and finishes the workload.
-	go func() {
-		o := o
-		o.interval = 10 * time.Millisecond
-		done <- run(o)
-	}()
+	go func() { done <- run(cfg, spec, 10*time.Millisecond, 0, "") }()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		time.Sleep(200 * time.Millisecond)

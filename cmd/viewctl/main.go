@@ -25,39 +25,39 @@ import (
 
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/bench"
-	"github.com/arrayview/arrayview/internal/cluster"
-	"github.com/arrayview/arrayview/internal/maintain"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/query"
 	"github.com/arrayview/arrayview/internal/serve"
 	"github.com/arrayview/arrayview/internal/shape"
-	"github.com/arrayview/arrayview/internal/transport"
 	"github.com/arrayview/arrayview/internal/view"
-	"github.com/arrayview/arrayview/internal/workload"
 )
 
 func main() {
 	var (
+		cfg      engine.Config
 		dataset  = flag.String("dataset", "PTF-5", "PTF-5|PTF-25|GEO")
 		modeName = flag.String("mode", "", "real|random|correlated|periodic")
-		strategy = flag.String("strategy", "reassign", "baseline|differential|reassign")
 		batches  = flag.Int("batches", 0, "limit number of batches (default: all)")
 		small    = flag.Bool("small", true, "use the test-scale dataset")
 		verify   = flag.Bool("verify", false, "verify the view against recomputation after each batch")
 		expire   = flag.Bool("expire", false, "after the batches, delete the oldest slab and maintain the retraction")
-		distrib  = flag.Bool("distributed", false, "run the data plane over TCP node daemons instead of in-process stores")
-		connect  = flag.String("connect", "", "comma-separated ivmnode addresses (with -distributed; default: spawn loopback daemons)")
 		serveAt  = flag.String("serve", "", "ivmserve daemon address; switches viewctl into query-client mode")
 		querySp  = flag.String("query", "", "query shape: \"view\", or kind:radius with kind l1|l2|linf (with -serve)")
 		qmode    = flag.String("qmode", "auto", "auto|view|complete (with -serve -query)")
 		stats    = flag.Bool("stats", false, "print the serving daemon's health counters (with -serve)")
 	)
+	flag.StringVar(&cfg.Strategy, "strategy", "reassign", "baseline|differential|reassign")
+	flag.BoolVar(&cfg.Distributed, "distributed", false, "run the data plane over TCP node daemons instead of in-process stores")
+	flag.StringVar(&cfg.Connect, "connect", "", "comma-separated ivmnode addresses (with -distributed; default: spawn loopback daemons)")
 	flag.Parse()
 
-	var err error
-	if *serveAt != "" {
-		err = runClient(*dataset, *modeName, *small, *serveAt, *querySp, *qmode, *stats)
-	} else {
-		err = run(*dataset, *modeName, *strategy, *batches, *small, *verify, *expire, *distrib, *connect)
+	spec, err := bench.ParseSpec(*dataset, *modeName, *small)
+	switch {
+	case err != nil:
+	case *serveAt != "":
+		err = runClient(spec, *serveAt, *querySp, *qmode, *stats)
+	default:
+		err = run(cfg, spec, *batches, *verify, *expire)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "viewctl:", err)
@@ -67,33 +67,10 @@ func main() {
 
 // runClient speaks to an ivmserve daemon. The daemon and client must be
 // started with the same dataset flags: the view definition (and so the
-// result schema) is derived from the deterministic dataset generator rather
-// than shipped over the wire.
-func runClient(dataset, modeName string, small bool, addr, querySpec, qmode string, stats bool) error {
-	ds, err := bench.ParseDataset(dataset)
-	if err != nil {
-		return err
-	}
-	mode := workload.Real
-	if ds == bench.GEO {
-		mode = workload.Random
-	}
-	if modeName != "" {
-		if mode, err = workload.ParseMode(modeName); err != nil {
-			return err
-		}
-	}
-	var spec bench.Spec
-	if small {
-		spec = bench.SmallSpec(ds, mode)
-	} else {
-		spec = bench.DefaultSpec(ds, mode)
-	}
-	data, err := spec.Generate()
-	if err != nil {
-		return err
-	}
-	def, err := spec.ViewFor(data)
+// result schema) is derived from the dataset's configuration rather than
+// shipped over the wire.
+func runClient(spec bench.Spec, addr, querySpec, qmode string, stats bool) error {
+	def, err := spec.View()
 	if err != nil {
 		return err
 	}
@@ -188,62 +165,24 @@ func parseQueryShape(def *view.Definition, s string) (*shape.Shape, error) {
 	}
 }
 
-func run(dataset, modeName, strategy string, batches int, small, verify, expire, distrib bool, connect string) error {
-	ds, err := bench.ParseDataset(dataset)
-	if err != nil {
-		return err
-	}
-	mode := workload.Real
-	if ds == bench.GEO {
-		mode = workload.Random
-	}
-	if modeName != "" {
-		if mode, err = workload.ParseMode(modeName); err != nil {
-			return err
-		}
-	}
-	planner, ok := maintain.Strategies()[strategy]
-	if !ok {
-		return fmt.Errorf("unknown strategy %q", strategy)
-	}
-	var spec bench.Spec
-	if small {
-		spec = bench.SmallSpec(ds, mode)
-	} else {
-		spec = bench.DefaultSpec(ds, mode)
-	}
-
+func run(cfg engine.Config, spec bench.Spec, batches int, verify, expire bool) error {
 	data, err := spec.Generate()
 	if err != nil {
 		return err
 	}
-	var cl *cluster.Cluster
-	if distrib {
-		cl, err = distributedCluster(spec, connect)
-	} else {
-		cl, err = spec.Cluster()
+	if err := spec.Describe(&cfg, data); err != nil {
+		return err
 	}
+	h, err := engine.Open(cfg)
 	if err != nil {
 		return err
 	}
-	if err := cl.LoadArray(data.Base, &cluster.RoundRobin{}); err != nil {
-		return err
-	}
-	def, err := spec.ViewFor(data)
-	if err != nil {
-		return err
-	}
-	if err := maintain.BuildView(cl, def, &cluster.RoundRobin{}); err != nil {
-		return err
-	}
-	m, err := maintain.NewMaintainer(cl, def, planner, spec.Params)
-	if err != nil {
-		return err
-	}
+	defer h.Close()
+	cl, m := h.Cluster(), h.Maintainer()
 
-	fmt.Printf("view: %s\n", def)
+	fmt.Printf("view: %s\n", h.Def())
 	fabricName := "in-process"
-	if distrib {
+	if cfg.Distributed {
 		fabricName = "tcp"
 	}
 	fmt.Printf("cluster: %d nodes (%s fabric); base: %d cells in %d chunks\n\n",
@@ -264,20 +203,20 @@ func run(dataset, modeName, strategy string, batches int, small, verify, expire,
 		fmt.Printf("  maintenance=%.4fs (simulated)  optimization=%.6fs (measured)\n",
 			rep.MaintenanceSeconds, rep.OptimizationSeconds)
 		fmt.Printf("  ledger: %s\n", rep.Ledger)
-		if distrib {
+		if cfg.Distributed {
 			if s := rep.Trace.String(); s != "" {
 				fmt.Printf("  spans: %s\n", s)
 			}
 		}
 		if verify {
-			if err := verifyView(cl, def); err != nil {
+			if err := h.Verify(); err != nil {
 				return fmt.Errorf("batch %d: %w", i+1, err)
 			}
 			fmt.Printf("  verified: view equals recomputation\n")
 		}
 	}
 	if expire {
-		base, err := cl.Gather(def.Alpha.Name)
+		base, err := cl.Gather(h.Def().Alpha.Name)
 		if err != nil {
 			return err
 		}
@@ -300,84 +239,11 @@ func run(dataset, modeName, strategy string, batches int, small, verify, expire,
 		}
 		fmt.Printf("expired %d cells: maintenance=%.4fs (simulated)\n", del.NumCells(), rep.MaintenanceSeconds)
 		if verify {
-			if err := verifyView(cl, def); err != nil {
+			if err := h.Verify(); err != nil {
 				return fmt.Errorf("expire: %w", err)
 			}
 			fmt.Printf("  verified: view equals recomputation\n")
 		}
-	}
-	return nil
-}
-
-// distributedCluster builds a cluster whose data plane is a TCPFabric:
-// either connected to externally-run ivmnode daemons (connect is a
-// comma-separated address list) or to loopback daemons spawned in-process.
-func distributedCluster(spec bench.Spec, connect string) (*cluster.Cluster, error) {
-	var addrs []string
-	if connect != "" {
-		for _, a := range strings.Split(connect, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		fmt.Printf("connecting to %d node daemons\n", len(addrs))
-	} else {
-		lc, err := transport.StartLoopback(spec.Nodes, nil)
-		if err != nil {
-			return nil, err
-		}
-		addrs = lc.Addrs
-		fmt.Printf("spawned %d loopback node daemons\n", len(addrs))
-	}
-	fab, err := transport.NewTCPFabric(addrs, transport.DefaultClientConfig())
-	if err != nil {
-		return nil, err
-	}
-	return cluster.New(len(addrs),
-		cluster.WithWorkersPerNode(spec.Workers), cluster.WithFabric(fab))
-}
-
-func verifyView(cl *cluster.Cluster, def *view.Definition) error {
-	base, err := cl.Gather(def.Alpha.Name)
-	if err != nil {
-		return err
-	}
-	got, err := cl.Gather(def.Name)
-	if err != nil {
-		return err
-	}
-	want, err := view.Materialize(def, base, base)
-	if err != nil {
-		return err
-	}
-	// Retractions can leave zero-state cells that a recomputation omits;
-	// treat those as equal to absent.
-	equal := true
-	check := func(x, y *array.Array) {
-		x.EachCell(func(p array.Point, tup array.Tuple) bool {
-			other, found := y.Get(p)
-			if !found {
-				for _, v := range tup {
-					if v != 0 {
-						equal = false
-						return false
-					}
-				}
-				return true
-			}
-			for i := range tup {
-				if other[i] != tup[i] {
-					equal = false
-					return false
-				}
-			}
-			return true
-		})
-	}
-	check(got, want)
-	check(want, got)
-	if !equal {
-		return fmt.Errorf("view diverges from recomputation")
 	}
 	return nil
 }

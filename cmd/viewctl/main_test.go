@@ -1,12 +1,26 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/arrayview/arrayview/internal/bench"
+	"github.com/arrayview/arrayview/internal/engine"
+)
+
+func geo(t *testing.T) bench.Spec {
+	t.Helper()
+	spec, err := bench.ParseSpec("GEO", "", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
 
 func TestRunSmallVerified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a small maintenance sequence")
 	}
-	if err := run("GEO", "", "reassign", 2, true, true, true, false, ""); err != nil {
+	if err := run(engine.Config{Strategy: "reassign"}, geo(t), 2, true, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -15,22 +29,23 @@ func TestRunDistributedSmallVerified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a small maintenance sequence over loopback TCP")
 	}
-	if err := run("GEO", "", "reassign", 2, true, true, false, true, ""); err != nil {
+	if err := run(engine.Config{Strategy: "reassign", Distributed: true}, geo(t), 2, true, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("nope", "", "reassign", 1, true, false, false, false, ""); err == nil {
-		t.Error("unknown dataset must fail")
-	}
-	if err := run("GEO", "nope", "reassign", 1, true, false, false, false, ""); err == nil {
-		t.Error("unknown mode must fail")
-	}
-	if err := run("GEO", "", "nope", 1, true, false, false, false, ""); err == nil {
-		t.Error("unknown strategy must fail")
-	}
-	if err := run("GEO", "", "reassign", 1, true, false, false, true, "127.0.0.1:1"); err == nil {
-		t.Error("unreachable node daemons must fail")
+	// Unknown dataset and mode names fail in bench.ParseSpec (TestParseSpec).
+	for _, tc := range []struct {
+		name string
+		cfg  engine.Config
+	}{
+		{"unknown strategy", engine.Config{Strategy: "nope"}},
+		{"unreachable node daemons", engine.Config{Distributed: true, Connect: "127.0.0.1:1"}},
+		{"-connect without -distributed", engine.Config{Connect: "127.0.0.1:1"}},
+	} {
+		if err := run(tc.cfg, geo(t), 1, false, false); err == nil {
+			t.Errorf("%s must fail", tc.name)
+		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"github.com/arrayview/arrayview/internal/cluster"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/maintain"
 	"github.com/arrayview/arrayview/internal/query"
+	"github.com/arrayview/arrayview/internal/view"
 )
 
 // DB is a handle to a simulated shared-nothing array database: N worker
@@ -90,37 +92,27 @@ type MaterializedView struct {
 	db         *DB
 	def        *Definition
 	maintainer *maintain.Maintainer
-	engine     *query.Engine
+	engine     *query.Engine // nil for a two-array view
 }
 
 // CreateView eagerly materializes the view over the already-loaded base
 // array(s), distributes it, and attaches a maintainer with the given
 // strategy. A nil params uses DefaultParams.
 func (db *DB) CreateView(def *Definition, strategy Strategy, params *Params) (*MaterializedView, error) {
-	planner, ok := maintain.Strategies()[string(strategy)]
-	if !ok {
+	if strategy == "" { // the composition root reads "" as its default
 		return nil, fmt.Errorf("arrayview: unknown strategy %q", strategy)
 	}
 	p := maintain.DefaultParams()
 	if params != nil {
 		p = *params
 	}
-	if err := maintain.BuildView(db.cl, def, &cluster.RoundRobin{}); err != nil {
-		return nil, err
-	}
-	m, err := maintain.NewMaintainer(db.cl, def, planner, p)
+	// The composition root adopts the cluster this DB built and loaded. The
+	// handle is not closed: it owns nothing the DB does not.
+	h, err := engine.Open(engine.Config{Cluster: db.cl, Def: def, Strategy: string(strategy), Params: p})
 	if err != nil {
 		return nil, err
 	}
-	mv := &MaterializedView{db: db, def: def, maintainer: m}
-	if def.SelfJoin() {
-		eng, err := query.NewEngine(db.cl, def, p)
-		if err != nil {
-			return nil, err
-		}
-		mv.engine = eng
-	}
-	return mv, nil
+	return &MaterializedView{db: db, def: def, maintainer: h.Maintainer(), engine: h.Query()}, nil
 }
 
 // Definition returns the view's definition.
@@ -174,7 +166,7 @@ func (v *MaterializedView) Values(p Point) ([]float64, bool, error) {
 // (Section 5). Only available on self-join views.
 func (v *MaterializedView) Query(queryShape *Shape, mode QueryMode) (*QueryResult, error) {
 	if v.engine == nil {
-		return nil, fmt.Errorf("arrayview: query integration requires a self-join view")
+		return nil, fmt.Errorf("arrayview: query integration over %s: %w", v.def.Name, view.ErrSelfJoinOnly)
 	}
 	return v.engine.Answer(queryShape, mode)
 }
@@ -182,7 +174,7 @@ func (v *MaterializedView) Query(queryShape *Shape, mode QueryMode) (*QueryResul
 // DecideQuery prices both query evaluation paths without executing either.
 func (v *MaterializedView) DecideQuery(queryShape *Shape) (QueryChoice, error) {
 	if v.engine == nil {
-		return QueryChoice{}, fmt.Errorf("arrayview: query integration requires a self-join view")
+		return QueryChoice{}, fmt.Errorf("arrayview: query integration over %s: %w", v.def.Name, view.ErrSelfJoinOnly)
 	}
 	return v.engine.Decide(queryShape)
 }

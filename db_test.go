@@ -1,7 +1,10 @@
 package arrayview
 
 import (
+	"errors"
 	"testing"
+
+	"github.com/arrayview/arrayview/internal/view"
 )
 
 func demoSchema() *Schema {
@@ -151,6 +154,15 @@ func TestFacadeErrors(t *testing.T) {
 	bad.Lambda = 7
 	if _, err := db.CreateView(demoView(t), StrategyBaseline, &bad); err == nil {
 		t.Error("invalid params must fail")
+	}
+	// A two-array view refuses query integration with the one sentinel every
+	// self-join-only layer wraps.
+	mv, _, _ := crossmatchView(t)
+	if _, err := mv.Query(Linf(1, 1), Auto); !errors.Is(err, view.ErrSelfJoinOnly) {
+		t.Errorf("two-array Query = %v, want ErrSelfJoinOnly", err)
+	}
+	if _, err := mv.DecideQuery(Linf(1, 1)); !errors.Is(err, view.ErrSelfJoinOnly) {
+		t.Errorf("two-array DecideQuery = %v, want ErrSelfJoinOnly", err)
 	}
 }
 
@@ -402,11 +414,15 @@ func TestChainViewOnCluster(t *testing.T) {
 	}
 }
 
-func TestFacadeTwoArrayView(t *testing.T) {
-	sa := MustSchema("optical",
+// crossmatchView loads two small arrays and materializes a two-array view
+// over them: optical detections cross-matched against radio sources within 2
+// cells.
+func crossmatchView(t *testing.T) (mv *MaterializedView, sa, sb *Schema) {
+	t.Helper()
+	sa = MustSchema("optical",
 		[]Dimension{{Name: "p", Start: 0, End: 29, ChunkSize: 10}},
 		[]Attribute{{Name: "mag", Type: Float64}})
-	sb := MustSchema("radio",
+	sb = MustSchema("radio",
 		[]Dimension{{Name: "p", Start: 0, End: 29, ChunkSize: 6}},
 		[]Attribute{{Name: "flux", Type: Float64}})
 	db, err := Open(3)
@@ -427,7 +443,6 @@ func TestFacadeTwoArrayView(t *testing.T) {
 	if err := db.Load(beta); err != nil {
 		t.Fatal(err)
 	}
-	// Cross-match optical detections against radio sources within 2 cells.
 	def, err := NewDefinition("crossmatch", sa, sb,
 		Pred(Linf(1, 2), nil),
 		[]string{"p"},
@@ -435,10 +450,14 @@ func TestFacadeTwoArrayView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mv, err := db.CreateView(def, StrategyReassign, nil)
-	if err != nil {
+	if mv, err = db.CreateView(def, StrategyReassign, nil); err != nil {
 		t.Fatal(err)
 	}
+	return mv, sa, sb
+}
+
+func TestFacadeTwoArrayView(t *testing.T) {
+	mv, sa, sb := crossmatchView(t)
 	vals, ok, err := mv.Values(Point{3}) // matches radio 4
 	if err != nil || !ok || vals[0] != 1 || vals[1] != 8 {
 		t.Fatalf("crossmatch[3] = %v ok=%v err=%v, want [1 8]", vals, ok, err)
@@ -461,10 +480,8 @@ func TestFacadeTwoArrayView(t *testing.T) {
 	if vals[0] != 1 || vals[1] != 44 {
 		t.Errorf("crossmatch[20] = %v, want [1 44]", vals)
 	}
-	// Two-array views don't answer Δ-shape queries or self-join deletes.
-	if _, err := mv.Query(Linf(1, 1), Auto); err == nil {
-		t.Error("two-array view must reject Query")
-	}
+	// Two-array views don't take self-join deletes (nor Δ-shape queries:
+	// TestFacadeErrors).
 	if _, err := mv.Delete(dA); err == nil {
 		t.Error("two-array view must reject Delete")
 	}

@@ -263,6 +263,31 @@ func (a *Array) Equal(b *Array) bool {
 	return true
 }
 
+// EqualStates reports whether two arrays of additive aggregate state hold the
+// same content, treating an absent cell as an all-zero tuple: a retraction
+// leaves zero-state cells behind that a from-scratch recomputation never
+// creates, and the two are the same state.
+func (a *Array) EqualStates(b *Array) bool {
+	covers := func(x, y *Array) bool {
+		ok := true
+		x.EachCell(func(p Point, t Tuple) bool {
+			u, _ := y.Get(p) // absent: u is empty, every t[i] must be zero
+			for i := range t {
+				var v float64
+				if i < len(u) {
+					v = u[i]
+				}
+				if t[i] != v {
+					ok = false
+				}
+			}
+			return ok
+		})
+		return ok
+	}
+	return covers(a, b) && covers(b, a)
+}
+
 // SizeBytes returns the total approximate serialized size of all chunks.
 func (a *Array) SizeBytes() int64 {
 	n := int64(0)

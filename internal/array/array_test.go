@@ -107,6 +107,36 @@ func TestArrayCloneEqual(t *testing.T) {
 	}
 }
 
+// A retraction leaves all-zero state cells behind; a recomputation omits
+// them. EqualStates treats the two as the same state — in both directions —
+// and still sees every real difference.
+func TestArrayEqualStatesRetraction(t *testing.T) {
+	a := figure1Array()
+	retracted := a.Clone()
+	_ = retracted.Set(Point{2, 2}, Tuple{0, 0}) // a group whose pairs were all retracted
+	if !a.EqualStates(retracted) || !retracted.EqualStates(a) {
+		t.Error("an all-zero cell must equal an absent one, whichever side holds it")
+	}
+	if a.Equal(retracted) {
+		t.Error("Equal, unlike EqualStates, counts the zero cell")
+	}
+	half := a.Clone()
+	_ = half.Set(Point{2, 2}, Tuple{0, 1})
+	if a.EqualStates(half) || half.EqualStates(a) {
+		t.Error("a cell with any nonzero state must not equal an absent one")
+	}
+	changed := a.Clone()
+	_ = changed.Set(Point{1, 2}, Tuple{2, 6})
+	if a.EqualStates(changed) {
+		t.Error("EqualStates must detect changed tuples")
+	}
+	missing := a.Clone()
+	missing.Delete(Point{1, 2})
+	if a.EqualStates(missing) || missing.EqualStates(a) {
+		t.Error("EqualStates must detect a missing nonzero cell")
+	}
+}
+
 func TestArrayMergeChunk(t *testing.T) {
 	a := figure1Array()
 	s := a.Schema()

@@ -223,3 +223,55 @@ func TestParseDataset(t *testing.T) {
 		t.Error("unknown dataset must fail")
 	}
 }
+
+// ParseSpec is the dataset/mode/scale prologue of every tool: the dataset's
+// native mode when none is named, and an error for either unknown name.
+func TestParseSpec(t *testing.T) {
+	for _, tc := range []struct {
+		dataset, mode string
+		small         bool
+		want          Spec
+	}{
+		{"PTF-5", "", true, SmallSpec(PTF5, workload.Real)},
+		{"GEO", "", true, SmallSpec(GEO, workload.Random)},
+		{"PTF-25", "correlated", false, DefaultSpec(PTF25, workload.Correlated)},
+	} {
+		got, err := ParseSpec(tc.dataset, tc.mode, tc.small)
+		if err != nil || got.Dataset != tc.want.Dataset || got.Mode != tc.want.Mode || got.Nodes != tc.want.Nodes {
+			t.Errorf("ParseSpec(%q, %q, %v) = %s/%s on %d nodes, %v", tc.dataset, tc.mode, tc.small, got.Dataset, got.Mode, got.Nodes, err)
+		}
+	}
+	if _, err := ParseSpec("nope", "", true); err == nil {
+		t.Error("unknown dataset must fail")
+	}
+	if _, err := ParseSpec("GEO", "nope", true); err == nil {
+		t.Error("unknown mode must fail")
+	}
+}
+
+// A query client derives the view from the dataset's configuration alone; it
+// must be the definition the daemon derives from the generated dataset.
+func TestSpecViewMatchesGenerated(t *testing.T) {
+	for _, ds := range Datasets() {
+		spec, err := ParseSpec(string(ds), "", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := spec.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := spec.ViewFor(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := spec.View()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() || got.Schema().String() != want.Schema().String() {
+			t.Errorf("%s: View() = %s over %s, ViewFor(data) = %s over %s",
+				ds, got, got.Schema(), want, want.Schema())
+		}
+	}
+}

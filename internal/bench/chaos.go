@@ -7,7 +7,7 @@ import (
 
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/cluster"
-	"github.com/arrayview/arrayview/internal/maintain"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/storage"
 	"github.com/arrayview/arrayview/internal/workload"
 )
@@ -91,50 +91,25 @@ func Chaos(w io.Writer, spec Spec) (*ChaosResult, error) {
 			r.Overhead = r.WallSeconds / baseWall
 		}
 		res.Classes = append(res.Classes, *r)
-		okStr := "ok"
-		if !r.FinalStateOK {
-			okStr = "FAIL"
-		}
 		fmt.Fprintf(w, "%-12s %8d %10d %9.0f%% %10.3f %7.2fx %6s\n",
-			r.Class, r.Batches, r.Completed, r.CompletionRate*100, r.WallSeconds, r.Overhead, okStr)
+			r.Class, r.Batches, r.Completed, r.CompletionRate*100, r.WallSeconds, r.Overhead, okFail(r.FinalStateOK))
 	}
 	return res, nil
 }
 
 // runChaosClass runs the full batch sequence under one fault class.
 func runChaosClass(spec Spec, strategy string, cc chaosClass) (*ChaosClassResult, error) {
-	planner, ok := maintain.Strategies()[strategy]
-	if !ok {
-		return nil, fmt.Errorf("unknown strategy %q", strategy)
-	}
 	data, err := spec.Generate()
 	if err != nil {
 		return nil, err
 	}
-	stores := make([]*storage.Store, spec.Nodes)
-	for i := range stores {
-		stores[i] = storage.NewStore()
-	}
-	ff := cluster.NewFaultFabric(cluster.NewLocalFabric(stores), 1)
-	cl, err := cluster.New(spec.Nodes, cluster.WithWorkersPerNode(spec.Workers), cluster.WithFabric(ff.AsFabric()))
+	ff := cluster.NewFaultFabric(localFabric(spec.Nodes), 1)
+	h, err := spec.Open(data, func(c *engine.Config) { c.Strategy, c.Fabric = strategy, ff.AsFabric() })
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.LoadArray(data.Base, spec.Placement()); err != nil {
-		return nil, err
-	}
-	def, err := spec.ViewFor(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := maintain.BuildView(cl, def, spec.Placement()); err != nil {
-		return nil, err
-	}
-	m, err := maintain.NewMaintainer(cl, def, planner, spec.Params)
-	if err != nil {
-		return nil, err
-	}
-	m.SetPlacements(spec.Placement(), spec.Placement())
+	defer h.Close()
+	cl, def := h.Cluster(), h.Def()
 
 	if cc.inject != nil {
 		cc.inject(ff)
@@ -150,7 +125,7 @@ func runChaosClass(spec Spec, strategy string, cc chaosClass) (*ChaosClassResult
 		if cc.blackoutBatch == i {
 			ff.Blackout(0)
 		}
-		_, err := m.ApplyBatch(batch)
+		_, err := h.Maintainer().ApplyBatch(batch)
 		if cc.blackoutBatch == i {
 			ff.Restore(0)
 		}
@@ -169,64 +144,64 @@ func runChaosClass(spec Spec, strategy string, cc chaosClass) (*ChaosClassResult
 
 	// The chaos contract: the surviving state must equal a fault-free
 	// replay of exactly the batches that committed — failed batches rolled
-	// back completely, committed ones lost nothing.
+	// back completely, committed ones lost nothing. (Not Handle.Verify: the
+	// correlated and periodic sequences replay cells, and a view maintained
+	// under replays is not the materialization of its base.)
 	ff.ClearRules()
-	base, err := cl.Gather(def.Alpha.Name)
+	got, err := stateOf(h)
 	if err != nil {
 		return nil, err
 	}
-	got, err := cl.Gather(def.Name)
+	want, err := replayClean(spec, strategy, data, committed)
 	if err != nil {
 		return nil, err
 	}
-	wantBase, wantView, err := replayClean(spec, planner, committed)
-	if err != nil {
-		return nil, err
-	}
-	r.FinalStateOK = arraysEqual(base, wantBase) && arraysEqual(got, wantView)
+	r.FinalStateOK = got.equal(want)
 	return r, nil
 }
 
-// replayClean applies the given batches (by index, same seeded data) on a
-// fresh fault-free cluster and returns the final base and view.
-func replayClean(spec Spec, planner maintain.Planner, batches []int) (*array.Array, *array.Array, error) {
-	data, err := spec.Generate()
+// localFabric is the in-process fabric over n fresh stores, for a ladder that
+// dresses it (fault injection, stripped capabilities) before a cluster is
+// built on it.
+func localFabric(n int) *cluster.LocalFabric {
+	stores := make([]*storage.Store, n)
+	for i := range stores {
+		stores[i] = storage.NewStore()
+	}
+	return cluster.NewLocalFabric(stores)
+}
+
+// endState is a system's base and view, gathered.
+type endState struct{ base, view *array.Array }
+
+func stateOf(h *engine.Handle) (endState, error) {
+	base, err := h.Cluster().Gather(h.Def().Alpha.Name)
 	if err != nil {
-		return nil, nil, err
+		return endState{}, err
 	}
-	cl, err := spec.Cluster()
+	vw, err := h.Cluster().Gather(h.Def().Name)
+	return endState{base, vw}, err
+}
+
+// equal compares two end states modulo zero-state cells.
+func (s endState) equal(o endState) bool {
+	return s.base.EqualStates(o.base) && s.view.EqualStates(o.view)
+}
+
+// replayClean applies the given batches (by index) on a fresh fault-free
+// system and returns its end state.
+func replayClean(spec Spec, strategy string, data *workload.Dataset, batches []int) (endState, error) {
+	h, err := spec.Open(data, func(c *engine.Config) { c.Strategy = strategy })
 	if err != nil {
-		return nil, nil, err
+		return endState{}, err
 	}
-	if err := cl.LoadArray(data.Base, spec.Placement()); err != nil {
-		return nil, nil, err
-	}
-	def, err := spec.ViewFor(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := maintain.BuildView(cl, def, spec.Placement()); err != nil {
-		return nil, nil, err
-	}
-	m, err := maintain.NewMaintainer(cl, def, planner, spec.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.SetPlacements(spec.Placement(), spec.Placement())
+	defer h.Close()
 	for _, i := range batches {
-		if _, err := m.ApplyBatch(data.Batches[i]); err != nil {
-			return nil, nil, fmt.Errorf("clean replay of batch %d: %w", i, err)
+		if _, err := h.Maintainer().ApplyBatch(data.Batches[i]); err != nil {
+			return endState{}, fmt.Errorf("clean replay of batch %d: %w", i, err)
 		}
 	}
-	base, err := cl.Gather(def.Alpha.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	vw, err := cl.Gather(def.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return base, vw, nil
+	return stateOf(h)
 }
 
 // replicateOnce best-effort ships one replica of each chunk of the array
@@ -245,34 +220,4 @@ func replicateOnce(cl *cluster.Cluster, name string) {
 		}
 		_ = cl.Transfer(nil, name, key, home, (home+1)%n)
 	}
-}
-
-// arraysEqual compares two aggregate states cell-wise, treating a missing
-// cell as an all-zero tuple.
-func arraysEqual(a, b *array.Array) bool {
-	ok := true
-	check := func(x, y *array.Array) {
-		x.EachCell(func(p array.Point, tup array.Tuple) bool {
-			got, found := y.Get(p)
-			if !found {
-				for _, v := range tup {
-					if v != 0 {
-						ok = false
-						return false
-					}
-				}
-				return true
-			}
-			for i := range tup {
-				if got[i] != tup[i] {
-					ok = false
-					return false
-				}
-			}
-			return true
-		})
-	}
-	check(a, b)
-	check(b, a)
-	return ok
 }

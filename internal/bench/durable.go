@@ -5,9 +5,7 @@ import (
 	"io"
 	"time"
 
-	"github.com/arrayview/arrayview/internal/array"
-	"github.com/arrayview/arrayview/internal/cluster"
-	"github.com/arrayview/arrayview/internal/maintain"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/wal"
 	"github.com/arrayview/arrayview/internal/workload"
 )
@@ -88,10 +86,6 @@ type DurableResult struct {
 // deterministic and filesystem-speed rather than disk-speed.
 func Durable(w io.Writer, spec Spec) (*DurableResult, error) {
 	const strategy = "reassign"
-	planner, ok := maintain.Strategies()[strategy]
-	if !ok {
-		return nil, fmt.Errorf("unknown strategy %q", strategy)
-	}
 	data, err := spec.Generate()
 	if err != nil {
 		return nil, err
@@ -101,121 +95,91 @@ func Durable(w io.Writer, spec Spec) (*DurableResult, error) {
 	fmt.Fprintf(w, "Durable: %s/%s, %d nodes, %d batches, strategy %s\n",
 		spec.Dataset, spec.Mode, spec.Nodes, n, strategy)
 
-	// Clean-replay oracles for every batch prefix, shared by the ladder and
-	// the fault matrix.
-	oracles := make([]durableOracle, n+1)
-	for k := 0; k <= n; k++ {
-		idx := make([]int, k)
-		for i := range idx {
-			idx[i] = i
-		}
-		base, vw, err := replayClean(spec, planner, idx)
-		if err != nil {
-			return nil, fmt.Errorf("bench: durable oracle prefix %d: %w", k, err)
-		}
-		oracles[k] = durableOracle{base: base, view: vw}
+	run := durableRun{spec: spec, strategy: strategy, data: data}
+	if err := run.cleanPrefixes(); err != nil {
+		return nil, fmt.Errorf("bench: durable oracles: %w", err)
 	}
-
-	if err := durableOverhead(w, spec, planner, res); err != nil {
+	if err := run.overhead(w, res); err != nil {
 		return nil, err
 	}
-	if err := durableLadder(w, spec, planner, oracles, res); err != nil {
+	if err := run.ladder(w, res); err != nil {
 		return nil, err
 	}
-	if err := durableCompaction(w, spec, planner, oracles, res); err != nil {
+	if err := run.compaction(w, res); err != nil {
 		return nil, err
 	}
-	if err := durableFaults(w, spec, planner, oracles, res); err != nil {
+	if err := run.faults(w, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-type durableOracle struct{ base, view *array.Array }
-
-// durableSetup builds a fresh loaded cluster and maintainer — the same
-// prelude as replayClean, so durable runs and oracles are comparable.
-func durableSetup(spec Spec, planner maintain.Planner, data *workload.Dataset) (*cluster.Cluster, *maintain.Maintainer, error) {
-	cl, err := spec.Cluster()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := cl.LoadArray(data.Base, spec.Placement()); err != nil {
-		return nil, nil, err
-	}
-	def, err := spec.ViewFor(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := maintain.BuildView(cl, def, spec.Placement()); err != nil {
-		return nil, nil, err
-	}
-	m, err := maintain.NewMaintainer(cl, def, planner, spec.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.SetPlacements(spec.Placement(), spec.Placement())
-	return cl, m, nil
+// durableRun is what every part of the experiment shares: the seeded data
+// and, per batch prefix, the state a clean (fault-free, unjournaled) replay
+// of exactly that prefix leaves.
+type durableRun struct {
+	spec     Spec
+	strategy string
+	data     *workload.Dataset
+	oracles  []endState
 }
 
-// durableGather reads the final base and view of a cluster.
-func durableGather(cl *cluster.Cluster, spec Spec, data *workload.Dataset) (*array.Array, *array.Array, error) {
-	def, err := spec.ViewFor(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err := cl.Gather(def.Alpha.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	vw, err := cl.Gather(def.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return base, vw, nil
+// open builds the spec's eager system over the data — the same prelude for
+// clean replays, journaled runs and recoveries, so they are comparable — with
+// the chunk stores journaled on fs when there is one.
+func (r *durableRun) open(fs wal.FS, opts wal.Options) (*engine.Handle, error) {
+	return r.spec.Open(r.data, func(c *engine.Config) { c.Strategy, c.FS, c.WAL = r.strategy, fs, opts })
 }
 
-func durableOverhead(w io.Writer, spec Spec, planner maintain.Planner, res *DurableResult) error {
-	data, err := spec.Generate()
+// cleanPrefixes fills the oracles: one clean replay, read after every batch.
+func (r *durableRun) cleanPrefixes() error {
+	h, err := r.open(nil, wal.Options{})
 	if err != nil {
 		return err
 	}
-	// In-memory baseline.
-	_, m, err := durableSetup(spec, planner, data)
-	if err != nil {
-		return err
+	defer h.Close()
+	for k := 0; ; k++ {
+		st, err := stateOf(h)
+		if err != nil {
+			return err
+		}
+		r.oracles = append(r.oracles, st)
+		if k == len(r.data.Batches) {
+			return nil
+		}
+		if _, err := h.Maintainer().ApplyBatch(r.data.Batches[k]); err != nil {
+			return fmt.Errorf("clean replay of batch %d: %w", k, err)
+		}
 	}
+}
+
+// applyAll times the full batch sequence on a freshly opened system.
+func (r *durableRun) applyAll(fs wal.FS, what string) (float64, error) {
+	h, err := r.open(fs, wal.Options{})
+	if err != nil {
+		return 0, err
+	}
+	defer h.Close()
 	start := time.Now()
-	for i, b := range data.Batches {
-		if _, err := m.ApplyBatch(b); err != nil {
-			return fmt.Errorf("bench: durable baseline batch %d: %w", i, err)
+	for i, b := range r.data.Batches {
+		if _, err := h.Maintainer().ApplyBatch(b); err != nil {
+			return 0, fmt.Errorf("bench: durable %s batch %d: %w", what, i, err)
 		}
 	}
-	memMs := time.Since(start).Seconds() * 1000
+	ms := time.Since(start).Seconds() * 1000
+	return ms, h.Close() // the journaled run's close error counts
+}
 
-	// Same sequence with the durable store attached.
-	cl, m, err := durableSetup(spec, planner, data)
+func (r *durableRun) overhead(w io.Writer, res *DurableResult) error {
+	memMs, err := r.applyAll(nil, "baseline")
 	if err != nil {
 		return err
 	}
-	d, _, err := wal.Open(wal.NewMemFS(), spec.Nodes, wal.Options{})
+	durMs, err := r.applyAll(wal.NewMemFS(), "journaled")
 	if err != nil {
 		return err
 	}
-	if err := d.Attach(cl); err != nil {
-		return err
-	}
-	start = time.Now()
-	for i, b := range data.Batches {
-		if _, err := m.ApplyBatch(b); err != nil {
-			return fmt.Errorf("bench: durable journaled batch %d: %w", i, err)
-		}
-	}
-	durMs := time.Since(start).Seconds() * 1000
-	if err := d.Close(); err != nil {
-		return err
-	}
-	res.Overhead = DurableOverhead{Batches: len(data.Batches), MemMillis: memMs, DurMillis: durMs}
+	res.Overhead = DurableOverhead{Batches: len(r.data.Batches), MemMillis: memMs, DurMillis: durMs}
 	if memMs > 0 {
 		res.Overhead.Ratio = durMs / memMs
 	}
@@ -224,159 +188,126 @@ func durableOverhead(w io.Writer, spec Spec, planner maintain.Planner, res *Dura
 	return nil
 }
 
-// durableCommit runs k batches on a fresh cluster with a durable store on
-// the given FS and returns the store for counter inspection (left open —
-// a crash is the point).
-func durableCommit(spec Spec, planner maintain.Planner, fs wal.FS, opts wal.Options, k int) (*wal.Durable, error) {
-	data, err := spec.Generate()
+// commit runs the first k batches on a fresh system journaled on fs and
+// returns it still open — a crash is the point.
+func (r *durableRun) commit(fs wal.FS, opts wal.Options, k int) (*engine.Handle, error) {
+	h, err := r.open(fs, opts)
 	if err != nil {
-		return nil, err
-	}
-	cl, m, err := durableSetup(spec, planner, data)
-	if err != nil {
-		return nil, err
-	}
-	d, _, err := wal.Open(fs, spec.Nodes, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Attach(cl); err != nil {
 		return nil, err
 	}
 	for i := 0; i < k; i++ {
-		if _, err := m.ApplyBatch(data.Batches[i]); err != nil {
+		if _, err := h.Maintainer().ApplyBatch(r.data.Batches[i]); err != nil {
+			h.Close()
 			return nil, fmt.Errorf("batch %d: %w", i, err)
 		}
 	}
-	return d, nil
+	return h, nil
 }
 
-// durableRecover crashes the FS, reopens it, installs the recovered state
-// into a fresh cluster, and returns that cluster with the elapsed
-// recovery time. A nil cluster with nil error means nothing was durable.
-func durableRecover(spec Spec, fs *wal.FaultFS) (*cluster.Cluster, *wal.Recovered, float64, error) {
+// recoverOn crashes the FS and restarts the system on it, as the daemon
+// does: open the WAL, install what it holds (or, when nothing was durable,
+// load from the source again — Recovered() is nil then) and attach. It
+// returns the restarted system and how long the restart took.
+func (r *durableRun) recoverOn(fs *wal.FaultFS) (*engine.Handle, float64, error) {
 	if fs.Crashed() {
 		fs.Restart()
 	} else {
 		fs.Crash()
 	}
 	start := time.Now()
-	d, rec, err := wal.Open(fs, spec.Nodes, wal.Options{})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	defer d.Close()
-	if rec == nil {
-		return nil, nil, time.Since(start).Seconds() * 1000, nil
-	}
-	cl, err := spec.Cluster()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if err := rec.Install(cl); err != nil {
-		return nil, nil, 0, err
-	}
-	return cl, rec, time.Since(start).Seconds() * 1000, nil
+	h, err := r.open(fs, wal.Options{})
+	return h, time.Since(start).Seconds() * 1000, err
 }
 
-func durableLadder(w io.Writer, spec Spec, planner maintain.Planner, oracles []durableOracle, res *DurableResult) error {
-	data, err := spec.Generate()
-	if err != nil {
-		return err
+// recoveredAt reports whether the restarted system was recovered at barrier
+// k with exactly the state of the clean k-batch prefix.
+func (r *durableRun) recoveredAt(h *engine.Handle, k int) (bool, error) {
+	if rec := h.Recovered(); rec == nil || int(rec.Seq) != k {
+		return false, nil
 	}
-	n := len(data.Batches)
+	st, err := stateOf(h)
+	return err == nil && st.equal(r.oracles[k]), err
+}
+
+func okFail(ok bool) string {
+	if ok {
+		return "ok"
+	}
+	return "FAIL"
+}
+
+func (r *durableRun) ladder(w io.Writer, res *DurableResult) error {
 	fmt.Fprintf(w, "%-8s %12s %12s %12s %12s %6s\n",
 		"batches", "wal(B)", "seg(B)", "resident(B)", "recover(ms)", "state")
-	for k := 1; k <= n; k++ {
+	for k := 1; k <= len(r.data.Batches); k++ {
 		fs := wal.NewMemFS()
-		d, err := durableCommit(spec, planner, fs, wal.Options{}, k)
+		h, err := r.commit(fs, wal.Options{}, k)
 		if err != nil {
 			return fmt.Errorf("bench: durable ladder rung %d: %w", k, err)
 		}
-		snap := d.Counters().Snapshot()
+		snap := h.Durable().Counters().Snapshot()
 		rung := DurableRung{
 			Batches:       k,
 			WALBytes:      snap.WALBytes,
 			SegBytes:      snap.SegBytes,
 			ResidentBytes: fs.TotalBytes(),
 		}
-		cl, rec, ms, err := durableRecover(spec, fs)
+		got, ms, err := r.recoverOn(fs)
 		if err != nil {
 			return fmt.Errorf("bench: durable ladder recover %d: %w", k, err)
 		}
 		rung.RecoverMillis = ms
-		if cl != nil && rec != nil && int(rec.Seq) == k {
-			base, vw, err := durableGather(cl, spec, data)
-			if err != nil {
-				return err
-			}
-			rung.StatesMatch = arraysEqual(base, oracles[k].base) && arraysEqual(vw, oracles[k].view)
+		rung.StatesMatch, err = r.recoveredAt(got, k)
+		got.Close()
+		if err != nil {
+			return err
 		}
 		res.Ladder = append(res.Ladder, rung)
-		okStr := "ok"
-		if !rung.StatesMatch {
-			okStr = "FAIL"
-		}
 		fmt.Fprintf(w, "%-8d %12d %12d %12d %12.2f %6s\n",
-			rung.Batches, rung.WALBytes, rung.SegBytes, rung.ResidentBytes, rung.RecoverMillis, okStr)
+			rung.Batches, rung.WALBytes, rung.SegBytes, rung.ResidentBytes, rung.RecoverMillis, okFail(rung.StatesMatch))
 	}
 	return nil
 }
 
-func durableCompaction(w io.Writer, spec Spec, planner maintain.Planner, oracles []durableOracle, res *DurableResult) error {
-	data, err := spec.Generate()
-	if err != nil {
-		return err
-	}
-	n := len(data.Batches)
+func (r *durableRun) compaction(w io.Writer, res *DurableResult) error {
+	n := len(r.data.Batches)
 	fmt.Fprintf(w, "%-14s %12s %12s %12s %6s\n",
 		"compact(B)", "checkpoints", "resident(B)", "recover(ms)", "state")
 	for _, threshold := range []int64{1, 1 << 40} {
 		fs := wal.NewMemFS()
-		d, err := durableCommit(spec, planner, fs, wal.Options{CompactBytes: threshold}, n)
+		h, err := r.commit(fs, wal.Options{CompactBytes: threshold}, n)
 		if err != nil {
 			return fmt.Errorf("bench: durable compaction threshold %d: %w", threshold, err)
 		}
-		snap := d.Counters().Snapshot()
 		row := DurableCompaction{
 			CompactBytes:  threshold,
-			Checkpoints:   snap.Checkpoints,
+			Checkpoints:   h.Durable().Counters().Snapshot().Checkpoints,
 			ResidentBytes: fs.TotalBytes(),
 		}
-		cl, rec, ms, err := durableRecover(spec, fs)
+		got, ms, err := r.recoverOn(fs)
 		if err != nil {
 			return fmt.Errorf("bench: durable compaction recover: %w", err)
 		}
 		row.RecoverMillis = ms
-		if cl != nil && rec != nil && int(rec.Seq) == n {
-			base, vw, err := durableGather(cl, spec, data)
-			if err != nil {
-				return err
-			}
-			row.StatesMatch = arraysEqual(base, oracles[n].base) && arraysEqual(vw, oracles[n].view)
+		row.StatesMatch, err = r.recoveredAt(got, n)
+		got.Close()
+		if err != nil {
+			return err
 		}
 		res.Compact = append(res.Compact, row)
-		okStr := "ok"
-		if !row.StatesMatch {
-			okStr = "FAIL"
-		}
 		fmt.Fprintf(w, "%-14d %12d %12d %12.2f %6s\n",
-			row.CompactBytes, row.Checkpoints, row.ResidentBytes, row.RecoverMillis, okStr)
+			row.CompactBytes, row.Checkpoints, row.ResidentBytes, row.RecoverMillis, okFail(row.StatesMatch))
 	}
 	return nil
 }
 
-func durableFaults(w io.Writer, spec Spec, planner maintain.Planner, oracles []durableOracle, res *DurableResult) error {
-	data, err := spec.Generate()
-	if err != nil {
-		return err
-	}
-	n := len(data.Batches)
+func (r *durableRun) faults(w io.Writer, res *DurableResult) error {
+	n := len(r.data.Batches)
 
 	// Fault-free probe: measure the total write/sync op count so fault ops
 	// can be sampled across the whole run, recovery checkpoint included.
 	probe := wal.NewMemFS()
-	if _, err := durableCommit(spec, planner, probe, wal.Options{}, n); err != nil {
+	if _, err := r.commit(probe, wal.Options{}, n); err != nil {
 		return fmt.Errorf("bench: durable fault probe: %w", err)
 	}
 	opsTotal := probe.Ops()
@@ -405,34 +336,24 @@ func durableFaults(w io.Writer, spec Spec, planner maintain.Planner, oracles []d
 
 		// The faulty run: count the consecutive prefix of acknowledged
 		// batches; errors past the fault are expected, not fatal.
-		acked := func() int {
-			cl, m, err := durableSetup(spec, planner, data)
-			if err != nil {
-				return 0
-			}
-			d, _, err := wal.Open(fs, spec.Nodes, wal.Options{})
-			if err != nil {
-				return 0
-			}
-			if err := d.Attach(cl); err != nil {
-				return 0
-			}
-			for i, b := range data.Batches {
-				if _, err := m.ApplyBatch(b); err != nil {
-					return i
+		acked := 0
+		if h, err := r.open(fs, wal.Options{}); err == nil {
+			for acked < n {
+				if _, err := h.Maintainer().ApplyBatch(r.data.Batches[acked]); err != nil {
+					break
 				}
+				acked++
 			}
-			return n
-		}()
+		}
 		detail.Acked = acked
 
-		cl, _, _, err := durableRecover(spec, fs)
+		got, _, err := r.recoverOn(fs)
 		switch {
 		case err != nil:
 			// Recovery itself failed: counted as unrecovered, gate trips.
-		case cl == nil:
+		case got.Recovered() == nil:
 			// Nothing durable: legal only if nothing was acknowledged —
-			// a restart would rebuild from the source, i.e. prefix 0.
+			// the restart rebuilt from the source, i.e. prefix 0.
 			detail.Recovered = true
 			if acked == 0 {
 				detail.MatchedAt = 0
@@ -441,7 +362,7 @@ func durableFaults(w io.Writer, spec Spec, planner maintain.Planner, oracles []d
 			}
 		default:
 			detail.Recovered = true
-			base, vw, err := durableGather(cl, spec, data)
+			st, err := stateOf(got)
 			if err != nil {
 				return err
 			}
@@ -450,7 +371,7 @@ func durableFaults(w io.Writer, spec Spec, planner maintain.Planner, oracles []d
 			// acknowledged batch (unacknowledged-but-durable is legal;
 			// a hybrid matches no prefix).
 			for k := acked; k <= n; k++ {
-				if arraysEqual(base, oracles[k].base) && arraysEqual(vw, oracles[k].view) {
+				if st.equal(r.oracles[k]) {
 					detail.MatchedAt = k
 					break
 				}
@@ -458,6 +379,9 @@ func durableFaults(w io.Writer, spec Spec, planner maintain.Planner, oracles []d
 			if detail.MatchedAt < 0 {
 				detail.Violation = true
 			}
+		}
+		if got != nil {
+			got.Close()
 		}
 
 		res.Fault.Cases++

@@ -5,10 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"github.com/arrayview/arrayview/internal/cluster"
 	"github.com/arrayview/arrayview/internal/maintain"
-	"github.com/arrayview/arrayview/internal/transport"
-	"github.com/arrayview/arrayview/internal/workload"
 )
 
 // FabricValidationResult holds, for each strategy, the per-batch
@@ -32,12 +29,11 @@ type FabricValidationResult struct {
 func FabricValidation(w io.Writer, spec Spec, tcp bool) (*FabricValidationResult, error) {
 	out := &FabricValidationResult{Spec: spec, TCP: tcp, Results: make(map[string]*SeqResult)}
 	for _, name := range maintain.StrategyNames() {
-		planner := maintain.Strategies()[name]
 		data, err := spec.Generate() // seeded: identical across strategies
 		if err != nil {
 			return nil, err
 		}
-		res, err := runOnFabric(spec, planner, data, tcp)
+		res, err := runBatches(spec, name, data, tcp)
 		if err != nil {
 			return nil, fmt.Errorf("bench: fabric validation %s: %w", name, err)
 		}
@@ -144,28 +140,4 @@ func phaseSummary(res *SeqResult) string {
 		}
 	}
 	return s
-}
-
-// runOnFabric builds a cluster on the requested fabric and drives the
-// dataset through maintenance on it.
-func runOnFabric(spec Spec, planner maintain.Planner, data *workload.Dataset, tcp bool) (*SeqResult, error) {
-	if !tcp {
-		return runBatches(spec, planner, data)
-	}
-	lc, err := transport.StartLoopback(spec.Nodes, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer lc.Close()
-	fab, err := lc.Fabric(transport.DefaultClientConfig())
-	if err != nil {
-		return nil, err
-	}
-	defer fab.Close()
-	cl, err := cluster.New(spec.Nodes,
-		cluster.WithWorkersPerNode(spec.Workers), cluster.WithFabric(fab))
-	if err != nil {
-		return nil, err
-	}
-	return runBatchesOn(cl, spec, planner, data)
 }

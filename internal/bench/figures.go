@@ -5,6 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/maintain"
 	"github.com/arrayview/arrayview/internal/query"
 	"github.com/arrayview/arrayview/internal/shape"
@@ -122,57 +123,11 @@ func Fig6(w io.Writer, spec Spec) ([]Fig6Row, error) {
 	}
 	var rows []Fig6Row
 	for _, pair := range Fig6Pairs() {
-		data, err := workload.GeneratePTF(spec.PTF, spec.Mode)
+		row, err := fig6Row(spec, pair.Name, pair.Query, pair.View)
 		if err != nil {
 			return nil, err
 		}
-		window := map[int][2]int64{0: {-spec.PTF5Window, 0}}
-		viewShape, err := shape.Embed(pair.View, 3, []int{1, 2}, window)
-		if err != nil {
-			return nil, err
-		}
-		queryShape, err := shape.Embed(pair.Query, 3, []int{1, 2}, window)
-		if err != nil {
-			return nil, err
-		}
-		cl, err := spec.Cluster()
-		if err != nil {
-			return nil, err
-		}
-		if err := cl.LoadArray(data.Base, spec.Placement()); err != nil {
-			return nil, err
-		}
-		def, err := workload.CountView("V", data.Schema, viewShape)
-		if err != nil {
-			return nil, err
-		}
-		if err := maintain.BuildView(cl, def, spec.Placement()); err != nil {
-			return nil, err
-		}
-		eng, err := query.NewEngine(cl, def, spec.Params)
-		if err != nil {
-			return nil, err
-		}
-		complete, err := eng.Answer(queryShape, query.ForceComplete)
-		if err != nil {
-			return nil, err
-		}
-		withView, err := eng.Answer(queryShape, query.ForceView)
-		if err != nil {
-			return nil, err
-		}
-		choice, err := eng.Decide(queryShape)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig6Row{
-			Name:            pair.Name,
-			CompleteSeconds: complete.Ledger.Cost(),
-			ViewSeconds:     withView.Ledger.Cost(),
-			DeltaCard:       choice.DeltaCard,
-			QueryCard:       choice.QueryCard,
-			ChoseView:       choice.UseView,
-		})
+		rows = append(rows, row)
 	}
 	fmt.Fprintf(w, "Figure 6 — differential query vs. complete similarity join (PTF)\n")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -187,6 +142,53 @@ func Fig6(w io.Writer, spec Spec) ([]Fig6Row, error) {
 	}
 	tw.Flush()
 	return rows, nil
+}
+
+// fig6Row answers one query shape both ways over a view of the other shape.
+func fig6Row(spec Spec, name string, query2d, view2d *shape.Shape) (Fig6Row, error) {
+	data, err := workload.GeneratePTF(spec.PTF, spec.Mode)
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	window := map[int][2]int64{0: {-spec.PTF5Window, 0}}
+	viewShape, err := shape.Embed(view2d, 3, []int{1, 2}, window)
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	queryShape, err := shape.Embed(query2d, 3, []int{1, 2}, window)
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	def, err := workload.CountView("V", data.Schema, viewShape)
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	h, err := spec.Open(data, func(c *engine.Config) { c.Def = def })
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	defer h.Close()
+	eng := h.Query()
+	complete, err := eng.Answer(queryShape, query.ForceComplete)
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	withView, err := eng.Answer(queryShape, query.ForceView)
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	choice, err := eng.Decide(queryShape)
+	if err != nil {
+		return Fig6Row{}, err
+	}
+	return Fig6Row{
+		Name:            name,
+		CompleteSeconds: complete.Ledger.Cost(),
+		ViewSeconds:     withView.Ledger.Cost(),
+		DeltaCard:       choice.DeltaCard,
+		QueryCard:       choice.QueryCard,
+		ChoseView:       choice.UseView,
+	}, nil
 }
 
 // Fig10aRow is one point of the batch-size sensitivity sweep.
@@ -211,7 +213,7 @@ func Fig10a(w io.Writer, spec Spec, sizes []int) ([]Fig10aRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := runBatches(spec, maintain.Strategies()[name], data)
+		res, err := runBatches(spec, name, data, false)
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +257,7 @@ func Fig10b(w io.Writer, spec Spec, totalDetections int, counts []int) ([]Fig10b
 			if err != nil {
 				return nil, err
 			}
-			res, err := runBatches(spec, maintain.Strategies()[name], data)
+			res, err := runBatches(spec, name, data, false)
 			if err != nil {
 				return nil, err
 			}
@@ -307,7 +309,7 @@ func Fig10c(w io.Writer, spec Spec, spreads []float64) ([]Fig10cRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := runBatches(spec, maintain.Strategies()[name], data)
+			res, err := runBatches(spec, name, data, false)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/arrayview/arrayview/internal/cluster"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/maintain"
 	"github.com/arrayview/arrayview/internal/obs"
 	"github.com/arrayview/arrayview/internal/workload"
@@ -80,50 +81,27 @@ func (r *SeqResult) AvgTripleGen() float64 {
 // across strategies), loads base and view, and applies every batch with
 // the named strategy.
 func RunSequence(spec Spec, strategy string) (*SeqResult, error) {
-	planner, ok := maintain.Strategies()[strategy]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown strategy %q", strategy)
-	}
 	data, err := spec.Generate()
 	if err != nil {
 		return nil, err
 	}
-	return runBatches(spec, planner, data)
+	return runBatches(spec, strategy, data, false)
 }
 
-// runBatches drives a pre-generated dataset through maintenance on the
-// spec's default (in-process) cluster.
-func runBatches(spec Spec, planner maintain.Planner, data *workload.Dataset) (*SeqResult, error) {
-	cl, err := spec.Cluster()
+// runBatches drives a pre-generated dataset through eager maintenance with
+// the named strategy: on the in-process fabric, or with tcp on a fresh set
+// of loopback node daemons.
+func runBatches(spec Spec, strategy string, data *workload.Dataset, tcp bool) (*SeqResult, error) {
+	h, err := spec.Open(data, func(c *engine.Config) { c.Strategy, c.Distributed = strategy, tcp })
 	if err != nil {
 		return nil, err
 	}
-	return runBatchesOn(cl, spec, planner, data)
-}
-
-// runBatchesOn drives a pre-generated dataset through maintenance on an
-// already-built cluster, whatever fabric it runs on.
-func runBatchesOn(cl *cluster.Cluster, spec Spec, planner maintain.Planner, data *workload.Dataset) (*SeqResult, error) {
-	if err := cl.LoadArray(data.Base, spec.Placement()); err != nil {
-		return nil, err
-	}
-	def, err := spec.ViewFor(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := maintain.BuildView(cl, def, spec.Placement()); err != nil {
-		return nil, err
-	}
-	m, err := maintain.NewMaintainer(cl, def, planner, spec.Params)
-	if err != nil {
-		return nil, err
-	}
-	m.SetPlacements(spec.Placement(), spec.Placement())
-	res := &SeqResult{Spec: spec, Strategy: planner.Name()}
+	defer h.Close()
+	res := &SeqResult{Spec: spec, Strategy: strategy}
 	for i, batch := range data.Batches {
-		rep, err := m.ApplyBatch(batch)
+		rep, err := h.Maintainer().ApplyBatch(batch)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s batch %d: %w", planner.Name(), i, err)
+			return nil, fmt.Errorf("bench: %s batch %d: %w", strategy, i, err)
 		}
 		res.Batches = append(res.Batches, BatchResult{
 			Batch:        i + 1,
@@ -138,6 +116,7 @@ func runBatchesOn(cl *cluster.Cluster, spec Spec, planner maintain.Planner, data
 			NodeTasks:    rep.Trace.Nodes(),
 		})
 	}
+	cl := h.Cluster()
 	for node := 0; node < cl.NumNodes(); node++ {
 		st, err := cl.Fabric().Stats(node)
 		if err != nil {

@@ -8,11 +8,9 @@ import (
 	"time"
 
 	"github.com/arrayview/arrayview/internal/array"
-	"github.com/arrayview/arrayview/internal/cluster"
-	"github.com/arrayview/arrayview/internal/maintain"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/query"
 	"github.com/arrayview/arrayview/internal/serve"
-	"github.com/arrayview/arrayview/internal/transport"
 )
 
 // ServeFabricResult measures query serving over one fabric: sustained QPS
@@ -116,55 +114,18 @@ func serveOnFabric(spec Spec, workers int, tcp bool) (*ServeFabricResult, error)
 	if err != nil {
 		return nil, err
 	}
-	var cl *cluster.Cluster
-	if tcp {
-		lc, err := transport.StartLoopback(spec.Nodes, nil)
-		if err != nil {
-			return nil, err
-		}
-		defer lc.Close()
-		fab, err := lc.Fabric(transport.DefaultClientConfig())
-		if err != nil {
-			return nil, err
-		}
-		defer fab.Close()
-		cl, err = cluster.New(spec.Nodes,
-			cluster.WithWorkersPerNode(spec.Workers), cluster.WithFabric(fab))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		cl, err = spec.Cluster()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := cl.LoadArray(data.Base, &cluster.RoundRobin{}); err != nil {
-		return nil, err
-	}
-	def, err := spec.ViewFor(data)
+	// The daemon's layout (round-robin), and a serving front-end that is
+	// always real TCP, whatever the data-plane fabric: clients measure the
+	// daemon the way a deployment would.
+	h, err := spec.Open(data, func(c *engine.Config) {
+		c.Placement, c.Distributed, c.Listen = nil, tcp, "127.0.0.1:0"
+		c.Serve = serve.Config{MaxConcurrent: workers * 2, QueueDepth: workers * 4}
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := maintain.BuildView(cl, def, &cluster.RoundRobin{}); err != nil {
-		return nil, err
-	}
-	m, err := maintain.NewMaintainer(cl, def, nil, spec.Params)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := query.NewEngine(cl, def, spec.Params)
-	if err != nil {
-		return nil, err
-	}
-
-	// The serving front-end is always real TCP, whatever the data-plane
-	// fabric: clients measure the daemon the way a deployment would.
-	srv := serve.NewServer(eng, &serve.Config{MaxConcurrent: workers * 2, QueueDepth: workers * 4})
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-	defer srv.Close()
+	defer h.Close()
+	cl, def, srv := h.Cluster(), h.Def(), h.Server()
 
 	// expected holds, per published epoch, the committed view state the
 	// snapshot audit compares answers against.
@@ -232,7 +193,7 @@ func serveOnFabric(spec Spec, workers int, tcp bool) (*ServeFabricResult, error)
 	start := time.Now()
 	batches := 0
 	for _, b := range data.Batches {
-		if _, err := m.ApplyBatch(b); err != nil {
+		if _, err := h.Maintainer().ApplyBatch(b); err != nil {
 			close(done)
 			wg.Wait()
 			return nil, err

@@ -8,8 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"github.com/arrayview/arrayview/internal/cluster"
-	"github.com/arrayview/arrayview/internal/maintain"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/query"
 	"github.com/arrayview/arrayview/internal/serve"
 	"github.com/arrayview/arrayview/internal/shape"
@@ -165,49 +164,28 @@ func serveMixLeg(spec Spec, workers, perRound int, fast bool) (*ServeMixLeg, err
 	if err != nil {
 		return nil, err
 	}
-	cl, err := spec.Cluster()
+	h, err := spec.Open(data, func(c *engine.Config) {
+		c.Placement, c.Listen = nil, "127.0.0.1:0"
+		c.Serve = serve.Config{
+			MaxConcurrent:   workers * 2,
+			QueueDepth:      workers * 4,
+			DisableFastPath: !fast,
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := cl.LoadArray(data.Base, &cluster.RoundRobin{}); err != nil {
-		return nil, err
-	}
-	def, err := spec.ViewFor(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := maintain.BuildView(cl, def, &cluster.RoundRobin{}); err != nil {
-		return nil, err
-	}
-	m, err := maintain.NewMaintainer(cl, def, nil, spec.Params)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := query.NewEngine(cl, def, spec.Params)
-	if err != nil {
-		return nil, err
-	}
-	// The oracle never gets a fast path: every audit answer is recomputed
-	// from scratch on the shared pinned snapshot.
-	oracle, err := query.NewEngine(cl, def, spec.Params)
-	if err != nil {
-		return nil, err
-	}
+	defer h.Close()
+	cl, def, srv := h.Cluster(), h.Def(), h.Server()
+	// The daemon answers through its own (fast-path) engine; the oracle is
+	// the cold engine it was built from, which never gets a fast path: every
+	// audit answer is recomputed from scratch on the shared pinned snapshot.
+	serving, oracle := srv.Engine(), h.Query()
 
 	label := "uncached"
 	if fast {
 		label = "cached"
 	}
-	srv := serve.NewServer(eng, &serve.Config{
-		MaxConcurrent:   workers * 2,
-		QueueDepth:      workers * 4,
-		DisableFastPath: !fast,
-	})
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	serving := srv.Engine()
 
 	repeated := mixRepeatedShapes(def.Pred.Shape)
 	dims := def.Pred.Shape.NumDims()
@@ -317,7 +295,7 @@ func serveMixLeg(spec Spec, workers, perRound int, fast bool) (*ServeMixLeg, err
 		if round >= len(data.Batches) {
 			break
 		}
-		if _, err := m.ApplyBatch(data.Batches[round]); err != nil {
+		if _, err := h.Maintainer().ApplyBatch(data.Batches[round]); err != nil {
 			return nil, err
 		}
 		batches++

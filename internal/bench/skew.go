@@ -1,18 +1,16 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
+	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/cluster"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/maintain"
-	"github.com/arrayview/arrayview/internal/obs"
 	"github.com/arrayview/arrayview/internal/query"
-	"github.com/arrayview/arrayview/internal/stream"
-	"github.com/arrayview/arrayview/internal/transport"
 	"github.com/arrayview/arrayview/internal/workload"
 )
 
@@ -173,10 +171,11 @@ func skewData(spec Spec, mode string, hotFrac float64) (*workload.Dataset, error
 	return nil, fmt.Errorf("bench: unknown skew mode %q", mode)
 }
 
-// skewAdaptiveConfig is the ladder's adaptive tuning. The classifier
-// projects out the time dimension: PTF batches land in fresh (or replayed)
-// time slabs, so the persistent identity of a chunk is its sky pointing.
-func skewAdaptiveConfig(counters *obs.AdaptiveCounters) maintain.AdaptiveConfig {
+// skewAdaptive puts the heavy-light layer in front of a rung's driver with
+// the ladder's tuning. The classifier projects out the time dimension: PTF
+// batches land in fresh (or replayed) time slabs, so the persistent identity
+// of a chunk is its sky pointing.
+func skewAdaptive(c *engine.Config) {
 	cfg := maintain.DefaultAdaptiveConfig()
 	cfg.Project = maintain.DropDims(0)
 	// Promote any class touched in the current batch and at least once more
@@ -189,55 +188,7 @@ func skewAdaptiveConfig(counters *obs.AdaptiveCounters) maintain.AdaptiveConfig 
 	// default memo cap would thrash (every entry evicted before its replay
 	// arrives).
 	cfg.MemoCap = 32768
-	cfg.Counters = counters
-	return cfg
-}
-
-// newSkewCluster builds the rung's cluster over the chosen fabric.
-func newSkewCluster(spec Spec, tcp bool) (*cluster.Cluster, func(), error) {
-	if !tcp {
-		cl, err := spec.Cluster()
-		return cl, func() {}, err
-	}
-	lc, err := transport.StartLoopback(spec.Nodes, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	fab, err := lc.Fabric(transport.DefaultClientConfig())
-	if err != nil {
-		lc.Close()
-		return nil, nil, err
-	}
-	cl, err := cluster.New(spec.Nodes,
-		cluster.WithWorkersPerNode(spec.Workers), cluster.WithFabric(fab))
-	if err != nil {
-		fab.Close()
-		lc.Close()
-		return nil, nil, err
-	}
-	return cl, func() { fab.Close(); lc.Close() }, nil
-}
-
-// loadSkewRung stands the rung's base and view up on a fresh cluster.
-func loadSkewRung(spec Spec, data *workload.Dataset, tcp bool) (*cluster.Cluster, func(), error) {
-	cl, closeFn, err := newSkewCluster(spec, tcp)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := cl.LoadArray(data.Base, spec.Placement()); err != nil {
-		closeFn()
-		return nil, nil, err
-	}
-	def, err := spec.ViewFor(data)
-	if err != nil {
-		closeFn()
-		return nil, nil, err
-	}
-	if err := maintain.BuildView(cl, def, spec.Placement()); err != nil {
-		closeFn()
-		return nil, nil, err
-	}
-	return cl, closeFn, nil
+	c.Adaptive = &cfg
 }
 
 // pctMillis returns the p-th percentile of the sorted latency slice in
@@ -258,12 +209,88 @@ const (
 	skewQueryBurst = 6
 )
 
+// submitAll hands every batch to the system's driver, one at a time.
+func submitAll(h *engine.Handle, batches []*array.Array, each func(i int) error) error {
+	for i, b := range batches {
+		tk, err := h.Submit(b)
+		if err != nil {
+			return fmt.Errorf("submit %d: %w", i, err)
+		}
+		if res := tk.Wait(); res.Err != nil {
+			return fmt.Errorf("batch %d: %w", i, res.Err)
+		}
+		if each != nil {
+			if err := each(i); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// skewTimedLeg is one unaudited, unqueried repetition — pure maintenance
+// cost — on a fresh system: the batches, then the final drain of the pending
+// log, timed apart.
+func skewTimedLeg(spec Spec, data *workload.Dataset, dress func(*engine.Config)) (batchSec, drainSec float64, err error) {
+	h, err := spec.Open(data, dress)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer h.Close()
+	t0 := time.Now()
+	if err := submitAll(h, data.Batches, nil); err != nil {
+		return 0, 0, err
+	}
+	batchSec = time.Since(t0).Seconds()
+	t1 := time.Now()
+	if err := h.Drain(); err != nil {
+		return 0, 0, err
+	}
+	return batchSec, time.Since(t1).Seconds(), nil
+}
+
+// skewAuditedLeg is the audited + queried repetition of one policy, not
+// timed: snapshot auditors ride the whole run and a burst of view-path
+// queries follows every few batches (through the freshness hook, when the
+// policy has one). It returns the drained system — the caller closes it —
+// with the sorted query latencies and the audit's score.
+func skewAuditedLeg(spec Spec, data *workload.Dataset, dress func(*engine.Config), auditors int) (h *engine.Handle, lats []time.Duration, observations, violations int, err error) {
+	if h, err = spec.Open(data, dress); err != nil {
+		return nil, nil, 0, 0, err
+	}
+	var audit *snapshotAudit
+	if auditors > 0 {
+		audit = attachAudit(h.Cluster(), h.Def().Name, auditors)
+	}
+	err = submitAll(h, data.Batches, func(i int) error {
+		if (i+1)%skewQueryEvery != 0 {
+			return nil
+		}
+		for q := 0; q < skewQueryBurst; q++ {
+			t0 := time.Now()
+			if _, err := h.Query().Answer(h.Def().Pred.Shape, query.ForceView); err != nil {
+				return fmt.Errorf("query at batch %d: %w", i, err)
+			}
+			lats = append(lats, time.Since(t0))
+		}
+		return nil
+	})
+	if err == nil {
+		err = h.Drain()
+	}
+	if audit != nil {
+		observations, violations = audit.finish()
+	}
+	if err != nil {
+		h.Close()
+		return nil, nil, 0, 0, err
+	}
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	return h, lats, observations, violations, nil
+}
+
 func skewRung(spec Spec, mode string, hotFrac float64, tcp bool) (*SkewRung, error) {
 	data, err := skewData(spec, mode, hotFrac)
-	if err != nil {
-		return nil, err
-	}
-	def, err := spec.ViewFor(data)
 	if err != nil {
 		return nil, err
 	}
@@ -287,165 +314,55 @@ func skewRung(spec Spec, mode string, hotFrac float64, tcp bool) (*SkewRung, err
 	if tcp {
 		reps, auditors = 1, 0
 	}
+	eager := func(c *engine.Config) { c.Distributed = tcp }
+	adaptive := func(c *engine.Config) { c.Distributed = tcp; skewAdaptive(c) }
 
-	// All-eager timing leg.
 	for rep := 0; rep < reps; rep++ {
-		cl, closeFn, err := loadSkewRung(spec, data, tcp)
+		sec, _, err := skewTimedLeg(spec, data, eager)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("eager leg: %w", err)
 		}
-		m, err := maintain.NewMaintainer(cl, def, nil, spec.Params)
-		if err != nil {
-			closeFn()
-			return nil, err
-		}
-		m.SetPlacements(spec.Placement(), spec.Placement())
-		t0 := time.Now()
-		for i, b := range data.Batches {
-			if _, err := m.ApplyBatch(b); err != nil {
-				closeFn()
-				return nil, fmt.Errorf("eager leg batch %d: %w", i, err)
-			}
-		}
-		sec := time.Since(t0).Seconds()
 		if rep == 0 || sec < rung.EagerSeconds {
 			rung.EagerSeconds = sec
 		}
-		closeFn()
 	}
-
-	// Adaptive timing leg. The final drain is timed separately and charged
-	// to the adaptive total.
+	// The final drain is charged to the adaptive total.
 	for rep := 0; rep < reps; rep++ {
-		cl, closeFn, err := loadSkewRung(spec, data, tcp)
+		batchSec, drainSec, err := skewTimedLeg(spec, data, adaptive)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("adaptive leg: %w", err)
 		}
-		am, err := maintain.NewAdaptiveMaintainer(cl, def, nil, spec.Params, skewAdaptiveConfig(nil))
-		if err != nil {
-			closeFn()
-			return nil, err
-		}
-		am.Inner().SetPlacements(spec.Placement(), spec.Placement())
-		t0 := time.Now()
-		for i, b := range data.Batches {
-			if _, err := am.ApplyBatch(b); err != nil {
-				closeFn()
-				return nil, fmt.Errorf("adaptive leg batch %d: %w", i, err)
-			}
-		}
-		batchSec := time.Since(t0).Seconds()
-		t1 := time.Now()
-		if _, err := am.Drain(); err != nil {
-			closeFn()
-			return nil, fmt.Errorf("adaptive leg drain: %w", err)
-		}
-		drainSec := time.Since(t1).Seconds()
 		if rep == 0 || batchSec+drainSec < rung.AdaptiveSeconds+rung.DrainSeconds {
 			rung.AdaptiveSeconds, rung.DrainSeconds = batchSec, drainSec
 		}
-		closeFn()
 	}
 
-	// Audited + queried repetitions: one per leg, not timed, supplying the
-	// equivalence fingerprints, the isolation audit, the query percentiles,
-	// and the adaptive-layer counters.
-	eagerCl, closeEager, err := loadSkewRung(spec, data, tcp)
+	// Audited + queried repetitions: one per leg, supplying the equivalence
+	// states, the isolation audit, the query percentiles, and the
+	// adaptive-layer counters.
+	eagerH, lats, obsN, viol, err := skewAuditedLeg(spec, data, eager, auditors)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("eager audit leg: %w", err)
 	}
-	defer closeEager()
-	{
-		m, err := maintain.NewMaintainer(eagerCl, def, nil, spec.Params)
-		if err != nil {
-			return nil, err
-		}
-		m.SetPlacements(spec.Placement(), spec.Placement())
-		eng, err := query.NewEngine(eagerCl, def, spec.Params)
-		if err != nil {
-			return nil, err
-		}
-		var audit *snapshotAudit
-		if auditors > 0 {
-			audit = attachAudit(eagerCl, def.Name, auditors)
-		}
-		var lats []time.Duration
-		for i, b := range data.Batches {
-			if _, err := m.ApplyBatch(b); err != nil {
-				return nil, fmt.Errorf("eager audit leg batch %d: %w", i, err)
-			}
-			if (i+1)%skewQueryEvery == 0 {
-				for q := 0; q < skewQueryBurst; q++ {
-					t0 := time.Now()
-					if _, err := eng.Answer(def.Pred.Shape, query.ForceView); err != nil {
-						return nil, fmt.Errorf("eager query at batch %d: %w", i, err)
-					}
-					lats = append(lats, time.Since(t0))
-				}
-			}
-		}
-		if audit != nil {
-			rung.EagerObservations, rung.EagerViolations = audit.finish()
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		rung.EagerQueryP50Millis = pctMillis(lats, 0.50)
-		rung.EagerQueryP99Millis = pctMillis(lats, 0.99)
-	}
+	defer eagerH.Close()
+	rung.EagerObservations, rung.EagerViolations = obsN, viol
+	rung.EagerQueryP50Millis, rung.EagerQueryP99Millis = pctMillis(lats, 0.50), pctMillis(lats, 0.99)
 
-	adCl, closeAd, err := loadSkewRung(spec, data, tcp)
+	adH, lats, obsN, viol, err := skewAuditedLeg(spec, data, adaptive, auditors)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("adaptive audit leg: %w", err)
 	}
-	defer closeAd()
-	{
-		counters := &obs.AdaptiveCounters{}
-		am, err := maintain.NewAdaptiveMaintainer(adCl, def, nil, spec.Params, skewAdaptiveConfig(counters))
-		if err != nil {
-			return nil, err
-		}
-		am.Inner().SetPlacements(spec.Placement(), spec.Placement())
-		eng, err := query.NewEngine(adCl, def, spec.Params)
-		if err != nil {
-			return nil, err
-		}
-		eng.Fresh = am.EnsureFresh
-		var audit *snapshotAudit
-		if auditors > 0 {
-			audit = attachAudit(adCl, def.Name, auditors)
-		}
-		var lats []time.Duration
-		for i, b := range data.Batches {
-			if _, err := am.ApplyBatch(b); err != nil {
-				return nil, fmt.Errorf("adaptive audit leg batch %d: %w", i, err)
-			}
-			if (i+1)%skewQueryEvery == 0 {
-				for q := 0; q < skewQueryBurst; q++ {
-					t0 := time.Now()
-					if _, err := eng.AnswerCtx(context.Background(), def.Pred.Shape, query.ForceView); err != nil {
-						return nil, fmt.Errorf("lazy query at batch %d: %w", i, err)
-					}
-					lats = append(lats, time.Since(t0))
-				}
-			}
-		}
-		if _, err := am.Drain(); err != nil {
-			return nil, fmt.Errorf("adaptive audit leg drain: %w", err)
-		}
-		if audit != nil {
-			rung.Observations, rung.Violations = audit.finish()
-		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		rung.LazyQueryP50Millis = pctMillis(lats, 0.50)
-		rung.LazyQueryP99Millis = pctMillis(lats, 0.99)
-		st := am.Stats()
-		rung.HeavyClasses, rung.SeenClasses = st.HeavyClasses, st.SeenClasses
-		rung.Promotions, rung.Demotions = st.Promotions, st.Demotions
-		rung.Pending = st.Pending
-		rung.MemoHits, rung.MemoMisses = st.Memo.Hits, st.Memo.Misses
-		rung.PlanReuses, rung.PlanSolves = st.Plans.Hits, st.Plans.Misses
-	}
+	defer adH.Close()
+	rung.Observations, rung.Violations = obsN, viol
+	rung.LazyQueryP50Millis, rung.LazyQueryP99Millis = pctMillis(lats, 0.50), pctMillis(lats, 0.99)
+	st := adH.Adaptive().Stats()
+	rung.HeavyClasses, rung.SeenClasses = st.HeavyClasses, st.SeenClasses
+	rung.Promotions, rung.Demotions = st.Promotions, st.Demotions
+	rung.Pending = st.Pending
+	rung.MemoHits, rung.MemoMisses = st.Memo.Hits, st.Memo.Misses
+	rung.PlanReuses, rung.PlanSolves = st.Plans.Hits, st.Plans.Misses
 
-	rung.StatesMatch, err = sameState(eagerCl, adCl, data.Schema.Name, def.Name)
+	rung.StatesMatch, err = sameState(eagerH.Cluster(), adH.Cluster(), data.Schema.Name, adH.Def().Name)
 	if err != nil {
 		return nil, err
 	}
@@ -467,67 +384,40 @@ func skewStreamRung(spec Spec, hotFrac float64) (*SkewStreamRung, error) {
 	if err != nil {
 		return nil, err
 	}
-	def, err := spec.ViewFor(data)
-	if err != nil {
-		return nil, err
-	}
 	out := &SkewStreamRung{Batches: len(data.Batches)}
 
 	// Reference: plain eager batch-at-a-time.
-	refCl, refParams, err := loadRung(spec, data)
+	ref, err := spec.Open(data, nil)
 	if err != nil {
 		return nil, err
 	}
-	m, err := maintain.NewMaintainer(refCl, def, nil, *refParams)
-	if err != nil {
-		return nil, err
-	}
-	m.SetPlacements(spec.Placement(), spec.Placement())
-	for i, b := range data.Batches {
-		if _, err := m.ApplyBatch(b); err != nil {
-			return nil, fmt.Errorf("stream reference batch %d: %w", i, err)
-		}
+	defer ref.Close()
+	if err := submitAll(ref, data.Batches, nil); err != nil {
+		return nil, fmt.Errorf("stream reference: %w", err)
 	}
 
-	// Streamed leg with the adaptive classifier attached.
-	cl, params, err := loadRung(spec, data)
+	// Streamed leg with the adaptive classifier attached, one batch in the
+	// pipeline at a time.
+	h, err := spec.Open(data, func(c *engine.Config) { c.Streamed = true; skewAdaptive(c) })
 	if err != nil {
 		return nil, err
 	}
-	am, err := maintain.NewAdaptiveMaintainer(cl, def, nil, *params, skewAdaptiveConfig(nil))
-	if err != nil {
-		return nil, err
-	}
-	g, err := stream.NewGraph(stream.Config{
-		Cluster:        cl,
-		Def:            def,
-		Params:         *params,
-		ArrayPlacement: spec.Placement(),
-		ViewPlacement:  spec.Placement(),
-		Adaptive:       am,
-	})
-	if err != nil {
-		return nil, err
-	}
+	defer h.Close()
 	t0 := time.Now()
-	for i, b := range data.Batches {
-		tk, err := g.Submit(b)
-		if err != nil {
-			return nil, fmt.Errorf("stream submit %d: %w", i, err)
-		}
-		if res := tk.Wait(); res.Err != nil {
-			return nil, fmt.Errorf("stream batch %d: %w", i, res.Err)
-		}
+	if err := submitAll(h, data.Batches, nil); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
-	g.Drain()
+	if err := h.Drain(); err != nil {
+		return nil, err
+	}
 	out.StreamSeconds = time.Since(t0).Seconds()
 	out.PerBatchMillis = out.StreamSeconds * 1000 / float64(len(data.Batches))
-	st := g.Stats()
+	st := h.Graph().Stats()
 	out.Solves, out.Reuses = st.Router.Solves, st.Router.Reuses
-	ast := am.Stats()
+	ast := h.Adaptive().Stats()
 	out.HeavyClasses = ast.HeavyClasses
 	out.MemoHits, out.MemoMisses = ast.Memo.Hits, ast.Memo.Misses
-	out.StatesMatch, err = sameState(refCl, cl, data.Schema.Name, def.Name)
+	out.StatesMatch, err = sameState(ref.Cluster(), h.Cluster(), data.Schema.Name, h.Def().Name)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,9 @@ package bench
 import (
 	"fmt"
 
+	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/cluster"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/maintain"
 	"github.com/arrayview/arrayview/internal/view"
 	"github.com/arrayview/arrayview/internal/workload"
@@ -105,6 +107,29 @@ func SmallSpec(ds Dataset, mode workload.BatchMode) Spec {
 	return s
 }
 
+// ParseSpec resolves the command-line triple every tool takes: a dataset
+// name, a batch mode ("" = the dataset's native one: real, or random for
+// GEO) and the test-scale switch.
+func ParseSpec(dataset, mode string, small bool) (Spec, error) {
+	ds, err := ParseDataset(dataset)
+	if err != nil {
+		return Spec{}, err
+	}
+	m := workload.Real
+	if ds == GEO {
+		m = workload.Random
+	}
+	if mode != "" {
+		if m, err = workload.ParseMode(mode); err != nil {
+			return Spec{}, err
+		}
+	}
+	if small {
+		return SmallSpec(ds, m), nil
+	}
+	return DefaultSpec(ds, m), nil
+}
+
 // Generate builds the dataset of the spec.
 func (s Spec) Generate() (*workload.Dataset, error) {
 	switch s.Dataset {
@@ -118,15 +143,54 @@ func (s Spec) Generate() (*workload.Dataset, error) {
 
 // ViewFor builds the view definition for the generated dataset.
 func (s Spec) ViewFor(d *workload.Dataset) (*view.Definition, error) {
+	return s.viewOver(d.Schema)
+}
+
+// View builds the view definition from the spec's own schema, without
+// generating the dataset (the generators use the same schema).
+func (s Spec) View() (*view.Definition, error) {
+	if s.Dataset == GEO {
+		return s.viewOver(s.GEO.Schema())
+	}
+	return s.viewOver(s.PTF.Schema())
+}
+
+func (s Spec) viewOver(schema *array.Schema) (*view.Definition, error) {
 	switch s.Dataset {
 	case PTF5:
-		return workload.PTF5View(d.Schema, s.PTF5Window)
+		return workload.PTF5View(schema, s.PTF5Window)
 	case PTF25:
-		return workload.PTF25View(d.Schema)
+		return workload.PTF25View(schema)
 	case GEO:
-		return workload.GEOView(d.Schema)
+		return workload.GEOView(schema)
 	}
 	return nil, fmt.Errorf("bench: unknown dataset %q", s.Dataset)
+}
+
+// Describe fills in what the spec and its generated dataset fix of a system's
+// description: cluster size, parameters, the view and the base to load. The
+// tools bind their flags to the rest.
+func (s Spec) Describe(cfg *engine.Config, d *workload.Dataset) (err error) {
+	cfg.Nodes, cfg.Workers, cfg.Params, cfg.Base = s.Nodes, s.Workers, s.Params, d.Base
+	cfg.Def, err = s.ViewFor(d)
+	return err
+}
+
+// Open opens the spec's system over the generated dataset through the
+// composition root: the spec's cluster size and parameters, its view, the
+// dataset's base and the spec's static placement, eager maintenance with the
+// default strategy on in-process stores — after dress, when non-nil, has
+// changed whatever the caller runs differently (fabric, driver, WAL, serving).
+// The caller closes the handle.
+func (s Spec) Open(d *workload.Dataset, dress func(*engine.Config)) (*engine.Handle, error) {
+	cfg := engine.Config{Placement: s.Placement()}
+	if err := s.Describe(&cfg, d); err != nil {
+		return nil, err
+	}
+	if dress != nil {
+		dress(&cfg)
+	}
+	return engine.Open(cfg)
 }
 
 // Cluster builds a fresh cluster per the spec.

@@ -6,9 +6,7 @@ import (
 
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/cluster"
-	"github.com/arrayview/arrayview/internal/maintain"
-	"github.com/arrayview/arrayview/internal/storage"
-	"github.com/arrayview/arrayview/internal/transport"
+	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/workload"
 )
 
@@ -87,42 +85,41 @@ func Wire(w io.Writer, spec Spec) (*WireResult, error) {
 
 	fmt.Fprintf(w, "Wire shipping: %s/%s, %d nodes, strategy %s\n", spec.Dataset, spec.Mode, spec.Nodes, strategy)
 
-	// In-process variants over identical data.
-	naive, _, _, err := runWireVariant(spec, strategy, wireNaive)
-	if err != nil {
-		return nil, fmt.Errorf("bench: wire naive: %w", err)
+	// The in-process variants compare payload bytes; the loopback-TCP pair
+	// (identical wire layer, compression off vs on) compares raw socket
+	// bytes. Each family has its own baseline.
+	variants := []struct {
+		name, baseline string
+		dress          func(*engine.Config)
+	}{
+		// Wire protocol stripped: every ship is a full body.
+		{"naive", "naive", func(c *engine.Config) { c.Fabric = plainFabric{localFabric(spec.Nodes)} }},
+		// Offers and pipelined batches, delta patches refused.
+		{"dedup", "naive", func(c *engine.Config) { c.Fabric = dedupOnlyFabric{localFabric(spec.Nodes)} }},
+		// The full wire layer: the default in-process fabric.
+		{"delta", "naive", func(*engine.Config) {}},
+		{"tcp", "tcp", func(c *engine.Config) { c.Distributed = true }},
+		{"tcp-compress", "tcp", func(c *engine.Config) { c.Distributed, c.Compress = true, true }},
 	}
-	dedup, _, _, err := runWireVariant(spec, strategy, wireDedup)
-	if err != nil {
-		return nil, fmt.Errorf("bench: wire dedup: %w", err)
+	baselines := make(map[string]WireVariantResult)
+	for _, v := range variants {
+		// The repeat-ship probe runs on the full-featured in-process cluster.
+		var probe *WireRepeatProbe
+		if v.name == "delta" {
+			probe = &res.Repeat
+		}
+		r, err := runWireVariant(spec, strategy, v.dress, probe)
+		if err != nil {
+			return nil, fmt.Errorf("bench: wire %s: %w", v.name, err)
+		}
+		r.Variant, r.Baseline = v.name, v.baseline
+		if v.name == v.baseline {
+			baselines[v.name] = r
+		} else {
+			saveVs(&r, baselines[v.baseline])
+		}
+		res.Variants = append(res.Variants, r)
 	}
-	delta, deltaCl, baseName, err := runWireVariant(spec, strategy, wireDelta)
-	if err != nil {
-		return nil, fmt.Errorf("bench: wire delta: %w", err)
-	}
-	naive.Variant, naive.Baseline = "naive", "naive"
-	dedup.Variant, dedup.Baseline = "dedup", "naive"
-	delta.Variant, delta.Baseline = "delta", "naive"
-	saveVs(&dedup, naive)
-	saveVs(&delta, naive)
-	res.Variants = append(res.Variants, naive, dedup, delta)
-
-	// Loopback-TCP pair: identical wire layer, compression off vs on.
-	tcpPlain, err := runWireTCP(spec, strategy, false)
-	if err != nil {
-		return nil, fmt.Errorf("bench: wire tcp: %w", err)
-	}
-	tcpComp, err := runWireTCP(spec, strategy, true)
-	if err != nil {
-		return nil, fmt.Errorf("bench: wire tcp-compress: %w", err)
-	}
-	tcpPlain.Variant, tcpPlain.Baseline = "tcp", "tcp"
-	tcpComp.Variant, tcpComp.Baseline = "tcp-compress", "tcp"
-	saveVs(&tcpComp, tcpPlain)
-	res.Variants = append(res.Variants, tcpPlain, tcpComp)
-
-	// Repeat-ship probe on the full-featured in-process cluster.
-	res.Repeat = repeatShipProbe(deltaCl, baseName)
 
 	for _, v := range res.Variants {
 		fmt.Fprintf(w, "  %-14s %12dB (saved %5.1f%%)  transfers %10dB (saved %5.1f%%) vs %-6s dedup=%d(%dB) delta=%d(%dB) compress=%dB rt-saved=%d\n",
@@ -138,15 +135,6 @@ func Wire(w io.Writer, spec Spec) (*WireResult, error) {
 		res.Repeat.Chunks, res.Repeat.BytesMoved, res.Repeat.DedupHits, probeState)
 	return res, nil
 }
-
-// wireVariant selects the fabric a variant runs on.
-type wireVariant int
-
-const (
-	wireNaive wireVariant = iota // wire protocol stripped: every ship is a full body
-	wireDedup                    // offers and pipelined batches, delta patches refused
-	wireDelta                    // the full wire layer
-)
 
 // plainFabric strips every optional capability from the inner fabric, so
 // type assertions for WireFabric (and JoinFabric) fail and the cluster
@@ -169,112 +157,56 @@ func (f dedupOnlyFabric) Patch(node int, arrayName string, key array.ChunkKey, b
 
 var _ cluster.WireFabric = dedupOnlyFabric{}
 
-// runWireVariant drives the spec's sequence through maintenance on an
-// in-process fabric dressed per the variant, returning the summed traffic,
-// the live cluster, and the base array's name (for the repeat-ship probe).
-func runWireVariant(spec Spec, strategy string, v wireVariant) (WireVariantResult, *cluster.Cluster, string, error) {
-	stores := make([]*storage.Store, spec.Nodes)
-	for i := range stores {
-		stores[i] = storage.NewStore()
-	}
-	lf := cluster.NewLocalFabric(stores)
-	var fab cluster.Fabric
-	switch v {
-	case wireNaive:
-		fab = plainFabric{lf}
-	case wireDedup:
-		fab = dedupOnlyFabric{lf}
-	default:
-		fab = lf
-	}
-	cl, err := cluster.New(spec.Nodes, cluster.WithWorkersPerNode(spec.Workers), cluster.WithFabric(fab))
-	if err != nil {
-		return WireVariantResult{}, nil, "", err
-	}
-	baseName, transferBytes, err := runWireSequence(spec, strategy, cl)
-	if err != nil {
-		return WireVariantResult{}, nil, "", err
-	}
-	out, err := sumWire(cl)
-	out.TransferBytes = transferBytes
-	return out, cl, baseName, err
-}
-
-// runWireTCP drives the sequence over loopback node daemons, with or
-// without per-frame compression.
-func runWireTCP(spec Spec, strategy string, compress bool) (WireVariantResult, error) {
-	lc, err := transport.StartLoopback(spec.Nodes, nil)
+// runWireVariant opens the spec's system on the fabric dress chooses, drives
+// the shared workload through it and returns the summed traffic; with probe
+// non-nil it then runs the repeat-ship probe on the finished cluster.
+func runWireVariant(spec Spec, strategy string, dress func(*engine.Config), probe *WireRepeatProbe) (WireVariantResult, error) {
+	data, err := spec.Generate()
 	if err != nil {
 		return WireVariantResult{}, err
 	}
-	defer lc.Close()
-	cfg := transport.DefaultClientConfig()
-	cfg.Compress = compress
-	fab, err := lc.Fabric(cfg)
+	h, err := spec.Open(data, func(c *engine.Config) {
+		c.Strategy = strategy
+		dress(c)
+	})
 	if err != nil {
 		return WireVariantResult{}, err
 	}
-	defer fab.Close()
-	cl, err := cluster.New(spec.Nodes, cluster.WithWorkersPerNode(spec.Workers), cluster.WithFabric(fab))
-	if err != nil {
-		return WireVariantResult{}, err
+	defer h.Close()
+	out, err := runWireSequence(h, data.Batches)
+	if err == nil && probe != nil {
+		*probe = repeatShipProbe(h.Cluster(), h.Def().Alpha.Name)
 	}
-	_, transferBytes, err := runWireSequence(spec, strategy, cl)
-	if err != nil {
-		return WireVariantResult{}, err
-	}
-	out, err := sumWire(cl)
-	out.TransferBytes = transferBytes
 	return out, err
 }
 
-// runWireSequence is the shared workload: load, build the view, then per
-// batch re-replicate base and view (as the chaos harness does — cleanup
-// scrubs scratch replicas, so every batch re-ships them) and maintain.
-// Returns the base array's name and the bytes moved by the replication
-// steps alone, measured by snapshotting the fabric counters around them.
-func runWireSequence(spec Spec, strategy string, cl *cluster.Cluster) (string, int64, error) {
-	planner, ok := maintain.Strategies()[strategy]
-	if !ok {
-		return "", 0, fmt.Errorf("unknown strategy %q", strategy)
-	}
-	data, err := spec.Generate()
-	if err != nil {
-		return "", 0, err
-	}
-	if err := cl.LoadArray(data.Base, spec.Placement()); err != nil {
-		return "", 0, err
-	}
-	def, err := spec.ViewFor(data)
-	if err != nil {
-		return "", 0, err
-	}
-	if err := maintain.BuildView(cl, def, spec.Placement()); err != nil {
-		return "", 0, err
-	}
-	m, err := maintain.NewMaintainer(cl, def, planner, spec.Params)
-	if err != nil {
-		return "", 0, err
-	}
-	m.SetPlacements(spec.Placement(), spec.Placement())
+// runWireSequence is the shared workload: per batch re-replicate base and
+// view (as the chaos harness does — cleanup scrubs scratch replicas, so
+// every batch re-ships them) and maintain. TransferBytes is the bytes moved
+// by the replication steps alone, measured by snapshotting the fabric
+// counters around them.
+func runWireSequence(h *engine.Handle, batches []*array.Array) (WireVariantResult, error) {
+	cl, def := h.Cluster(), h.Def()
 	var transferBytes int64
-	for i, batch := range data.Batches {
+	for i, batch := range batches {
 		before, err := sumWire(cl)
 		if err != nil {
-			return "", 0, err
+			return before, err
 		}
 		replicateOnce(cl, def.Alpha.Name)
 		replicateOnce(cl, def.Name)
 		after, err := sumWire(cl)
 		if err != nil {
-			return "", 0, err
+			return after, err
 		}
 		transferBytes += after.Bytes - before.Bytes
-		if _, err := m.ApplyBatch(batch); err != nil {
-			return "", 0, fmt.Errorf("batch %d: %w", i, err)
+		if _, err := h.Maintainer().ApplyBatch(batch); err != nil {
+			return after, fmt.Errorf("batch %d: %w", i, err)
 		}
 	}
-	return def.Alpha.Name, transferBytes, nil
+	out, err := sumWire(cl)
+	out.TransferBytes = transferBytes
+	return out, err
 }
 
 // sumWire totals the per-node fabric counters into one variant row.

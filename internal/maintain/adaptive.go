@@ -138,7 +138,7 @@ func NewAdaptiveMaintainer(cl *cluster.Cluster, def *view.Definition, planner Pl
 		return nil, err
 	}
 	if !def.SelfJoin() {
-		return nil, fmt.Errorf("maintain: adaptive maintenance supports self-join views only")
+		return nil, fmt.Errorf("maintain: adaptive maintenance of %s: %w", def.Name, view.ErrSelfJoinOnly)
 	}
 	cls := &Classifier{
 		HeavyThreshold: cfg.HeavyThreshold,

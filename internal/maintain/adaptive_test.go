@@ -527,7 +527,7 @@ func TestAdaptiveRejectsInvalidConfigAndTwoArrayViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = NewAdaptiveMaintainer(cl, def2, nil, DefaultParams(), DefaultAdaptiveConfig())
-	if err == nil || !strings.Contains(err.Error(), "self-join") {
+	if !errors.Is(err, view.ErrSelfJoinOnly) {
 		t.Fatalf("two-array view accepted (err=%v)", err)
 	}
 }

@@ -98,7 +98,7 @@ type Engine struct {
 // NewEngine validates and returns an engine.
 func NewEngine(cl *cluster.Cluster, def *view.Definition, params maintain.Params) (*Engine, error) {
 	if !def.SelfJoin() {
-		return nil, fmt.Errorf("query: engine requires a self-join view, got %s", def.Name)
+		return nil, fmt.Errorf("query: engine over %s: %w", def.Name, view.ErrSelfJoinOnly)
 	}
 	if err := params.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -235,8 +236,8 @@ func TestNewEngineValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl, _ := cluster.New(2)
-	if _, err := NewEngine(cl, def, maintain.DefaultParams()); err == nil {
-		t.Error("two-array views must be rejected")
+	if _, err := NewEngine(cl, def, maintain.DefaultParams()); !errors.Is(err, view.ErrSelfJoinOnly) {
+		t.Errorf("NewEngine on a two-array view = %v, want ErrSelfJoinOnly", err)
 	}
 }
 

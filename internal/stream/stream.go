@@ -210,7 +210,7 @@ func NewGraph(cfg Config) (*Graph, error) {
 		return nil, errors.New("stream: nil cluster or definition")
 	}
 	if !cfg.Def.SelfJoin() {
-		return nil, fmt.Errorf("stream: view %s joins two arrays; streaming supports self-join views", cfg.Def.Name)
+		return nil, fmt.Errorf("stream: streaming maintenance of %s: %w", cfg.Def.Name, view.ErrSelfJoinOnly)
 	}
 	m, err := maintain.NewMaintainer(cfg.Cluster, cfg.Def, cfg.Planner, cfg.Params)
 	if err != nil {

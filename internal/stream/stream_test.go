@@ -501,7 +501,7 @@ func TestGraphRejectsTwoArrayView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewGraph(Config{Cluster: cl, Def: def, Params: maintain.DefaultParams()}); err == nil {
-		t.Fatal("NewGraph accepted a two-array view")
+	if _, err := NewGraph(Config{Cluster: cl, Def: def, Params: maintain.DefaultParams()}); !errors.Is(err, view.ErrSelfJoinOnly) {
+		t.Fatalf("NewGraph on a two-array view = %v, want ErrSelfJoinOnly", err)
 	}
 }

@@ -195,6 +195,11 @@ func (d *Definition) Schema() *array.Schema { return d.schema }
 // SelfJoin reports whether the view joins an array with itself.
 func (d *Definition) SelfJoin() bool { return d.Alpha.Name == d.Beta.Name }
 
+// ErrSelfJoinOnly is the one refusal of a two-array view: streaming and
+// adaptive maintenance and the query engine support self-join views only.
+// Every layer that refuses wraps it, so callers test with errors.Is.
+var ErrSelfJoinOnly = errors.New("supported for self-join views only")
+
 // StateWidth returns the number of physical attributes in the view's
 // additive state tuples.
 func (d *Definition) StateWidth() int {
