@@ -8,8 +8,8 @@
 //	ivmbench -experiment fig6
 //
 // Experiments: fig3, fig5, fig6, fig9, fig10a, fig10b, fig10c, scaling,
-// ablations, fabric, kernel, chaos, wire, serve, stream, skew, durable,
-// all.
+// ablations, fabric, kernel, all. -dataset and -mode narrow the per-panel
+// experiments (fig3, fig5, fig9, fabric); the others fix their own panel.
 // Datasets: PTF-5, PTF-25, GEO.
 // Modes: real, random, correlated, periodic ("real" maps to "random" for
 // GEO, as in the paper).
@@ -28,9 +28,9 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig3|fig5|fig6|fig9|fig10a|fig10b|fig10c|scaling|ablations|fabric|kernel|chaos|wire|serve|stream|skew|durable|all")
-		dataset    = flag.String("dataset", "", "PTF-5|PTF-25|GEO (default: every dataset)")
-		mode       = flag.String("mode", "", "real|random|correlated|periodic (default: every mode)")
+		experiment = flag.String("experiment", "all", "fig3|fig5|fig6|fig9|fig10a|fig10b|fig10c|scaling|ablations|fabric|kernel|all")
+		dataset    = flag.String("dataset", "", "PTF-5|PTF-25|GEO, for fig3|fig5|fig9|fabric (default: every dataset)")
+		mode       = flag.String("mode", "", "real|random|correlated|periodic, for fig3|fig5|fig9|fabric (default: every mode)")
 		scale      = flag.String("scale", "default", "default|small")
 		nodes      = flag.Int("nodes", 0, "override worker node count (default: 8)")
 		seed       = flag.Int64("seed", 0, "override dataset seed")
@@ -43,6 +43,11 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// perPanelExperiments take their panels from -dataset/-mode; every other
+// experiment fixes its own panel, so narrowing it is an error rather than a
+// flag silently ignored.
+var perPanelExperiments = map[string]bool{"fig3": true, "fig5": true, "fig9": true, "fabric": true}
 
 func run(experiment, dataset, mode, scale string, nodes int, seed int64, jsonDir string) error {
 	mkSpec := func(ds bench.Dataset, m workload.BatchMode) bench.Spec {
@@ -62,6 +67,7 @@ func run(experiment, dataset, mode, scale string, nodes int, seed int64, jsonDir
 		return s
 	}
 
+	// Resolve the panel flags once, before anything runs.
 	datasets := bench.Datasets()
 	if dataset != "" {
 		ds, err := bench.ParseDataset(dataset)
@@ -70,18 +76,26 @@ func run(experiment, dataset, mode, scale string, nodes int, seed int64, jsonDir
 		}
 		datasets = []bench.Dataset{ds}
 	}
+	var modes []workload.BatchMode
+	if mode != "" {
+		m, err := workload.ParseMode(mode)
+		if err != nil {
+			return err
+		}
+		modes = []workload.BatchMode{m}
+	}
+	if (dataset != "" || mode != "") && !perPanelExperiments[experiment] {
+		return fmt.Errorf("-dataset/-mode narrow only fig3|fig5|fig9|fabric; %s fixes its own panel", experiment)
+	}
 	modesFor := func(ds bench.Dataset) []workload.BatchMode {
-		if mode != "" {
-			m, err := workload.ParseMode(mode)
-			if err != nil {
-				return nil
-			}
-			return []workload.BatchMode{m}
-		}
-		if ds == bench.GEO {
+		switch {
+		case modes != nil:
+			return modes
+		case ds == bench.GEO:
 			return []workload.BatchMode{workload.Random, workload.Correlated, workload.Periodic}
+		default:
+			return []workload.BatchMode{workload.Real, workload.Correlated, workload.Periodic}
 		}
-		return []workload.BatchMode{workload.Real, workload.Correlated, workload.Periodic}
 	}
 
 	out := os.Stdout
@@ -92,11 +106,7 @@ func run(experiment, dataset, mode, scale string, nodes int, seed int64, jsonDir
 
 	perPanel := func(name string, fn func(spec bench.Spec) (any, error)) error {
 		for _, ds := range datasets {
-			ms := modesFor(ds)
-			if ms == nil {
-				return fmt.Errorf("bad mode %q", mode)
-			}
-			for _, m := range ms {
+			for _, m := range modesFor(ds) {
 				r, err := fn(mkSpec(ds, m))
 				if err != nil {
 					return err
@@ -132,8 +142,6 @@ func run(experiment, dataset, mode, scale string, nodes int, seed int64, jsonDir
 				}
 				return []any{local, tcp}, nil
 			})
-		case "wire":
-			return perPanel(name, func(s bench.Spec) (any, error) { return bench.Wire(out, s) })
 		case "fig6":
 			spec := mkSpec(bench.PTF5, workload.Real)
 			spec.PTF.NumBatches = 1
@@ -178,101 +186,6 @@ func run(experiment, dataset, mode, scale string, nodes int, seed int64, jsonDir
 			return nil
 		case "kernel":
 			r, err := bench.Kernel(out)
-			if err != nil {
-				return err
-			}
-			record(name, r)
-			return nil
-		case "chaos":
-			r, err := bench.Chaos(out, mkSpec(bench.GEO, workload.Correlated))
-			if err != nil {
-				return err
-			}
-			record(name, r)
-			return nil
-		case "durable":
-			// WAL-backed durable store: ingest overhead vs in-memory, the
-			// recovery ladder, checkpoint compaction, and the seeded
-			// crash/fsync/torn-write fault matrix. -dataset may narrow the
-			// panel; defaults to PTF-5 real.
-			ds := bench.PTF5
-			if dataset != "" {
-				ds = datasets[0]
-			}
-			ms := modesFor(ds)
-			if ms == nil {
-				return fmt.Errorf("bad mode %q", mode)
-			}
-			r, err := bench.Durable(out, mkSpec(ds, ms[0]))
-			if err != nil {
-				return err
-			}
-			record(name, r)
-			return nil
-		case "serve":
-			// Query serving under live maintenance, both fabrics. One
-			// dataset/mode panel: the default, or whatever -dataset/-mode
-			// narrowed to.
-			ds := bench.PTF5
-			if dataset != "" {
-				ds = datasets[0]
-			}
-			ms := modesFor(ds)
-			if ms == nil {
-				return fmt.Errorf("bad mode %q", mode)
-			}
-			r, err := bench.Serve(out, mkSpec(ds, ms[0]), 4)
-			if err != nil {
-				return err
-			}
-			record(name, r)
-			// The repeated-shape mix A/Bs the query fast path: the same
-			// schedule served cold and cached, with the per-round oracle
-			// audit live.
-			mr, err := bench.ServeMix(out, mkSpec(ds, ms[0]), 4, 0)
-			if err != nil {
-				return err
-			}
-			record(name, mr)
-			return nil
-		case "skew":
-			// Heavy-light adaptive maintenance on the pointing-skew ladder:
-			// all-eager vs adaptive per rung, with the lazy query path, the
-			// snapshot audit, a TCP rung, and a streamed rung.
-			ds := bench.PTF5
-			if dataset != "" {
-				ds = datasets[0]
-			}
-			spec := mkSpec(ds, workload.Real)
-			if scale != "small" {
-				// Long enough for the periodic pointing cycle (10 batches
-				// over 3 nights) to leave its warmup: the adaptive layer's
-				// plan scratch and join memo only pay off once footprints
-				// and content start repeating.
-				spec.PTF.NumBatches = 20
-			}
-			r, err := bench.Skew(out, spec, 0.8)
-			if err != nil {
-				return err
-			}
-			record(name, r)
-			return nil
-		case "stream":
-			// Batch-vs-streamed trickle ladder on the PTF self-join shape:
-			// micro-batch maintenance through the pipelined operator graph,
-			// with the snapshot audit live. -dataset may narrow to PTF-25;
-			// GEO (two-array) is rejected by the experiment.
-			ds := bench.PTF5
-			if dataset != "" {
-				ds = datasets[0]
-			}
-			multipliers, trickle, perBatch := []int{1, 2, 4}, 12, 150
-			ladder := []int{100, 200, 400, 800}
-			if scale == "small" {
-				multipliers, trickle, perBatch = []int{1, 2}, 8, 150
-				ladder = []int{50, 100, 200}
-			}
-			r, err := bench.Stream(out, mkSpec(ds, workload.Real), multipliers, trickle, perBatch, ladder)
 			if err != nil {
 				return err
 			}

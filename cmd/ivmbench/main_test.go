@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -41,13 +42,24 @@ func TestRunWritesJSON(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("nope", "", "", "small", 0, 0, ""); err == nil {
-		t.Error("unknown experiment must fail")
-	}
-	if err := run("fig3", "nope", "", "small", 0, 0, ""); err == nil {
-		t.Error("unknown dataset must fail")
-	}
-	if err := run("fig3", "GEO", "nope", "small", 0, 0, ""); err == nil {
-		t.Error("unknown mode must fail")
+	for _, tc := range []struct {
+		why                       string
+		experiment, dataset, mode string
+		wantIn                    string
+	}{
+		{"unknown experiment", "nope", "", "", "unknown experiment"},
+		{"unknown dataset", "fig3", "nope", "", "unknown dataset"},
+		// The parse error itself, not a generic one.
+		{"unknown mode", "fig3", "GEO", "nope", `unknown batch mode "nope"`},
+		// Fixed-panel experiments refuse the panel flags instead of
+		// ignoring them; they fail before running anything.
+		{"-dataset on a fixed panel", "fig6", "GEO", "", "fixes its own panel"},
+		{"-mode on a fixed panel", "fig10a", "", "correlated", "fixes its own panel"},
+		{"-dataset on all", "all", "PTF-5", "", "fixes its own panel"},
+	} {
+		err := run(tc.experiment, tc.dataset, tc.mode, "small", 0, 0, "")
+		if err == nil || !strings.Contains(err.Error(), tc.wantIn) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.why, err, tc.wantIn)
+		}
 	}
 }
