@@ -57,7 +57,6 @@ func main() {
 	flag.StringVar(&cfg.DataDir, "data-dir", "", "WAL-backed durable chunk store directory; recovers committed state on startup (in-process stores only)")
 	flag.Int64Var(&cfg.Serve.ViewCacheBytes, "view-cache", 0, "assembled-view cache budget in bytes (default 256MiB; negative disables view caching)")
 	flag.IntVar(&cfg.Serve.JoinWorkers, "join-workers", 0, "snapshot-join fan-out width (default GOMAXPROCS; 1 forces serial)")
-	flag.BoolVar(&cfg.Serve.DisableFastPath, "no-fastpath", false, "disable the query fast path (view cache, plan memo, parallel joins)")
 	flag.Parse()
 
 	spec, err := bench.ParseSpec(*dataset, *mode, *small)

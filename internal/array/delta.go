@@ -144,6 +144,18 @@ func ApplyDelta(c *Chunk, delta []byte) error {
 	if ns > rem/setSize || nx > (rem-ns*setSize)/8 || rem != ns*setSize+nx*8 {
 		return fmt.Errorf("array: delta payload is %d bytes, want %d sets + %d deletes", rem, ns, nx)
 	}
+	// Every record's offset is checked before the first write, so a bad
+	// record leaves the chunk unchanged.
+	body, vol := delta[r.pos:], regionVolume(c.region)
+	for i := uint64(0); i < ns+nx; i++ {
+		at := i * setSize
+		if i >= ns {
+			at = ns*setSize + (i-ns)*8
+		}
+		if off := binary.BigEndian.Uint64(body[at:]); off >= vol {
+			return fmt.Errorf("array: delta cell offset %d outside chunk region of %d cells", int64(off), vol)
+		}
+	}
 	for i := uint64(0); i < ns; i++ {
 		off := r.i64()
 		t := make(Tuple, c.nattrs)

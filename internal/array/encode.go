@@ -107,8 +107,12 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 	// index nil for index() to sort the decoded cell set.
 	offs := make([]int64, n)
 	ascending := true
+	vol := regionVolume(c.region)
 	for i := range offs {
 		off := r.i64()
+		if uint64(off) >= vol {
+			return nil, fmt.Errorf("array: cell offset %d outside chunk region of %d cells", off, vol)
+		}
 		t := make(Tuple, c.nattrs)
 		for j := range t {
 			t[j] = math.Float64frombits(r.u64())
@@ -121,6 +125,22 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 		c.sorted = offs
 	}
 	return c, r.err
+}
+
+// regionVolume is the cell-slot count of a decoded region, whose every
+// extent the decoder has checked positive. It saturates at MaxInt64, so a
+// hostile extent cannot wrap it into a small bound. A valid local offset
+// lies in [0, volume): one unsigned comparison per cell checks both ends.
+func regionVolume(r Region) uint64 {
+	n := uint64(1)
+	for i := range r.Lo {
+		span := uint64(r.Hi[i] - r.Lo[i] + 1)
+		if n > math.MaxInt64/span {
+			return math.MaxInt64
+		}
+		n *= span
+	}
+	return n
 }
 
 // FNV-1a 64-bit parameters: a cheap, dependency-free content hash. The

@@ -2,6 +2,7 @@ package array
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 )
@@ -15,6 +16,26 @@ func fuzzSeedChunk() *Chunk {
 		}
 	}
 	return c
+}
+
+// outOfRegion copies an encoding and overwrites the cell offset at byte pos
+// with one past the end of the seed chunk's region.
+func outOfRegion(enc []byte, pos int) []byte {
+	out := append([]byte(nil), enc...)
+	binary.BigEndian.PutUint64(out[pos:], uint64(fuzzSeedChunk().Region().Size()))
+	return out
+}
+
+// checkOffsetsInRegion fails unless every cell of c has a local offset in
+// [0, region size).
+func checkOffsetsInRegion(t *testing.T, c *Chunk) {
+	t.Helper()
+	offs, _ := c.Columns()
+	for _, off := range offs {
+		if off < 0 || off >= c.Region().Size() {
+			t.Fatalf("cell offset %d outside region %v", off, c.Region())
+		}
+	}
 }
 
 // FuzzDecodeChunk throws arbitrary bytes at the ACH1 decoder. Malformed
@@ -46,12 +67,16 @@ func FuzzDecodeChunk(f *testing.F) {
 	dup := append([]byte(nil), valid...)
 	copy(dup[len(dup)-cell:], valid[len(valid)-2*cell:len(valid)-cell])
 	f.Add(dup)
+	// A cell offset past the end of the chunk region: it would decode to a
+	// point outside the chunk.
+	f.Add(outOfRegion(valid, len(valid)-cell))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeChunk(data)
 		if err != nil {
 			return
 		}
+		checkOffsetsInRegion(t, c)
 		// Whatever order the payload listed its cells in, iteration is in
 		// strictly ascending offset order over exactly the decoded cells.
 		offs, coords := c.Columns()
@@ -103,6 +128,9 @@ func FuzzApplyDelta(f *testing.F) {
 	mangled := append([]byte(nil), delta...)
 	mangled[len(mangled)-1] ^= 0xFF
 	f.Add(baseEnc, mangled)
+	// The seed delta is one set record then one delete record; point the
+	// set past the end of the region.
+	f.Add(baseEnc, outOfRegion(delta, len(delta)-8-16))
 
 	f.Fuzz(func(t *testing.T, chunkBuf, deltaBuf []byte) {
 		c, err := DecodeChunk(chunkBuf)
@@ -119,5 +147,6 @@ func FuzzApplyDelta(f *testing.F) {
 		if got, want := c.ContentHash(), HashChunkBytes(EncodeChunk(c)); got != want {
 			t.Fatalf("post-delta ContentHash %#x disagrees with recomputed %#x", got, want)
 		}
+		checkOffsetsInRegion(t, c)
 	})
 }

@@ -219,6 +219,26 @@ func (s *Schema) ChunkRegion(cc ChunkCoord) Region {
 	return Region{Lo: lo, Hi: hi}
 }
 
+// CheckChunk reports whether a decoded chunk belongs in an array of this
+// schema: the same dimensionality and attribute count, a coordinate inside
+// the chunk grid, and exactly the region ChunkRegion gives that coordinate.
+// Readers of wire and file chunks call it before PutChunk.
+func (s *Schema) CheckChunk(c *Chunk) error {
+	if len(c.coord) != len(s.Dims) || c.nattrs != len(s.Attrs) {
+		return fmt.Errorf("array: chunk of %d dims and %d attrs does not fit schema %q (%d, %d)",
+			len(c.coord), c.nattrs, s.Name, len(s.Dims), len(s.Attrs))
+	}
+	for i, d := range s.Dims {
+		if c.coord[i] < 0 || c.coord[i] >= d.NumChunks() {
+			return fmt.Errorf("array: chunk %v outside the chunk grid of schema %q", c.coord, s.Name)
+		}
+	}
+	if want := s.ChunkRegion(c.coord); !c.region.Lo.Equal(want.Lo) || !c.region.Hi.Equal(want.Hi) {
+		return fmt.Errorf("array: chunk %v covers %v, schema %q has %v", c.coord, c.region, s.Name, want)
+	}
+	return nil
+}
+
 // ChunksOverlapping returns the chunk coordinates of every chunk slot whose
 // region intersects r (r is clipped to the domain first). The result is in
 // row-major order. It returns nil when the clipped region is empty.

@@ -131,6 +131,9 @@ func Read(r io.Reader) (*array.Array, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := schema.CheckChunk(ch); err != nil {
+			return nil, fmt.Errorf("arrayio: chunk %d: %w", i, err)
+		}
 		out.PutChunk(ch)
 	}
 	return out, nil

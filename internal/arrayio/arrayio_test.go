@@ -2,6 +2,7 @@ package arrayio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -82,5 +83,62 @@ func TestReadErrors(t *testing.T) {
 	raw := buf.Bytes()
 	if _, err := Read(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Error("truncated stream must fail")
+	}
+}
+
+// streamWith is a stream carrying schema s and the one encoded chunk enc,
+// whatever that chunk's shape.
+func streamWith(t *testing.T, s *array.Schema, enc []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, array.New(s)); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()[:buf.Len()-4] // drop the zero chunk count
+	raw = binary.BigEndian.AppendUint32(raw, 1)
+	raw = binary.BigEndian.AppendUint32(raw, uint32(len(enc)))
+	return append(raw, enc...)
+}
+
+// oneCell encodes a chunk of schema s at coordinate cc holding one cell at
+// the region's low corner.
+func oneCell(t *testing.T, s *array.Schema, cc array.ChunkCoord) []byte {
+	t.Helper()
+	c := array.NewChunk(s, cc)
+	if err := c.Set(c.Region().Lo, make(array.Tuple, s.NumAttrs())); err != nil {
+		t.Fatal(err)
+	}
+	return array.EncodeChunk(c)
+}
+
+// TestReadRejectsMisfitChunks: a file chunk that decodes but does not fit
+// the file's schema fails the read instead of landing in the array.
+func TestReadRejectsMisfitChunks(t *testing.T) {
+	target := testArray(t, 1).Schema()
+	attr := array.Attribute{Name: "a", Type: array.Float64}
+	oneDim := array.MustSchema("T", target.Dims[:1], target.Attrs)
+	oneAttr := array.MustSchema("T", target.Dims, []array.Attribute{attr})
+	dims := append([]array.Dimension(nil), target.Dims...)
+	dims[1].ChunkSize = 5
+	regrid := array.MustSchema("T", dims, target.Attrs)
+	offsetPast := oneCell(t, target, array.ChunkCoord{0, 0})
+	binary.BigEndian.PutUint64(offsetPast[len(offsetPast)-24:], 7*4)
+
+	if _, err := Read(bytes.NewReader(streamWith(t, target, oneCell(t, target, array.ChunkCoord{1, 2})))); err != nil {
+		t.Fatalf("fitting chunk rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"dimensionality", oneCell(t, oneDim, array.ChunkCoord{0})},
+		{"attribute count", oneCell(t, oneAttr, array.ChunkCoord{0, 0})},
+		{"region", oneCell(t, regrid, array.ChunkCoord{0, 1})},
+		{"coordinate off the grid", oneCell(t, target, array.ChunkCoord{-1, 0})},
+		{"cell offset past the region", offsetPast},
+	} {
+		if _, err := Read(bytes.NewReader(streamWith(t, target, tc.enc))); err == nil {
+			t.Errorf("%s: misfit chunk read without error", tc.name)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/arrayview/arrayview/internal/engine"
 	"github.com/arrayview/arrayview/internal/maintain"
-	"github.com/arrayview/arrayview/internal/query"
 	"github.com/arrayview/arrayview/internal/shape"
 	"github.com/arrayview/arrayview/internal/workload"
 )
@@ -144,7 +143,8 @@ func Fig6(w io.Writer, spec Spec) ([]Fig6Row, error) {
 	return rows, nil
 }
 
-// fig6Row answers one query shape both ways over a view of the other shape.
+// fig6Row prices one query shape both ways over a view of the other shape:
+// the Eq. 3 costs of the differential and the complete plan.
 func fig6Row(spec Spec, name string, query2d, view2d *shape.Shape) (Fig6Row, error) {
 	data, err := workload.GeneratePTF(spec.PTF, spec.Mode)
 	if err != nil {
@@ -168,23 +168,14 @@ func fig6Row(spec Spec, name string, query2d, view2d *shape.Shape) (Fig6Row, err
 		return Fig6Row{}, err
 	}
 	defer h.Close()
-	eng := h.Query()
-	complete, err := eng.Answer(queryShape, query.ForceComplete)
-	if err != nil {
-		return Fig6Row{}, err
-	}
-	withView, err := eng.Answer(queryShape, query.ForceView)
-	if err != nil {
-		return Fig6Row{}, err
-	}
-	choice, err := eng.Decide(queryShape)
+	choice, err := h.Query().Decide(queryShape)
 	if err != nil {
 		return Fig6Row{}, err
 	}
 	return Fig6Row{
 		Name:            name,
-		CompleteSeconds: complete.Ledger.Cost(),
-		ViewSeconds:     withView.Ledger.Cost(),
+		CompleteSeconds: choice.CompleteCost,
+		ViewSeconds:     choice.ViewCost,
 		DeltaCard:       choice.DeltaCard,
 		QueryCard:       choice.QueryCard,
 		ChoseView:       choice.UseView,

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -597,15 +596,6 @@ type Task func() error
 // servers. The first error aborts scheduling of further tasks and is
 // returned.
 func (c *Cluster) RunPerNode(tasks map[int][]Task) error {
-	return c.RunPerNodeCtx(context.Background(), tasks)
-}
-
-// RunPerNodeCtx is RunPerNode with cancellation: when the context is
-// cancelled, no further tasks are scheduled (in-flight tasks run to
-// completion) and the context error is returned unless a task failed first.
-// This is what lets a hung node cancel the rest of a wave instead of wedging
-// the batch.
-func (c *Cluster) RunPerNodeCtx(ctx context.Context, tasks map[int][]Task) error {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -647,7 +637,7 @@ func (c *Cluster) RunPerNodeCtx(ctx context.Context, tasks map[int][]Task) error
 				}()
 			}
 			for _, t := range queue {
-				if failed() || ctx.Err() != nil {
+				if failed() {
 					break
 				}
 				ch <- t
@@ -657,8 +647,5 @@ func (c *Cluster) RunPerNodeCtx(ctx context.Context, tasks map[int][]Task) error
 		}()
 	}
 	wg.Wait()
-	if firstErr == nil && ctx.Err() != nil {
-		return ctx.Err()
-	}
 	return firstErr
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -253,26 +252,6 @@ func TestGatherFailsOverToReplica(t *testing.T) {
 	}
 	if !back.Equal(a) {
 		t.Error("failover gather must reconstruct the full array")
-	}
-}
-
-func TestRunPerNodeCtxCancellation(t *testing.T) {
-	cl, _ := faultCluster(t, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	tasks := map[int][]Task{}
-	for n := 0; n < 2; n++ {
-		for i := 0; i < 50; i++ {
-			tasks[n] = append(tasks[n], func() error {
-				cancel()
-				time.Sleep(time.Millisecond)
-				return nil
-			})
-		}
-	}
-	err := cl.RunPerNodeCtx(ctx, tasks)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled wave must return ctx error, got %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/cluster"
+	"github.com/arrayview/arrayview/internal/maintain"
 	"github.com/arrayview/arrayview/internal/obs"
 	"github.com/arrayview/arrayview/internal/shape"
 )
@@ -74,16 +75,44 @@ func commitBaseChange(t testing.TB, cl *cluster.Cluster, name string, round int)
 	cl.Epochs().Publish()
 }
 
+// insertBatch maintains the view under one batch of n cells absent from
+// the live base, committing (and publishing) a fresh epoch.
+func insertBatch(t *testing.T, m *maintain.Maintainer, cl *cluster.Cluster, round, n int) {
+	t.Helper()
+	base, err := cl.Gather("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := array.New(base.Schema())
+	for i := 0; delta.NumCells() < n; i++ {
+		p := array.Point{int64(7*round+3*i) % 40, int64(11*round+5*i) % 40}
+		if _, taken := base.Get(p); !taken {
+			if err := delta.Set(p, array.Tuple{float64(round + i + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := m.ApplyBatch(delta); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFastPathByteIdenticalAcrossEpochsAndShapes drives the cached and
 // uncached serving paths over the same snapshots — repeated shapes, several
-// epochs, all three modes — and requires byte-identical answers plus
-// nonzero cache/memo traffic.
+// epochs committed by real maintenance batches, all three modes — and
+// requires byte-identical answers, each equal to a from-scratch
+// materialization of the query shape over the snapshot's base, plus nonzero
+// cache/memo traffic.
 func TestFastPathByteIdenticalAcrossEpochsAndShapes(t *testing.T) {
 	cold, _ := setup(t, 7, shape.L1(2, 1))
 	cl := cold.Cluster
 	cl.Epochs().Enable()
 	ctrs := &obs.FastPathCounters{}
 	fast := fastEngine(cold, ctrs)
+	m, err := maintain.NewMaintainer(cl, cold.Def, nil, maintain.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	shapes := []*shape.Shape{
 		shape.L1(2, 1), // identity: the query IS the view
@@ -97,11 +126,20 @@ func TestFastPathByteIdenticalAcrossEpochsAndShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		base, err := snap.Gather("A")
+		if err != nil {
+			t.Fatal(err)
+		}
 		for si, qs := range shapes {
+			oracle := reference(t, cold, base, qs)
 			for _, mode := range []Mode{Auto, ForceView, ForceComplete} {
 				want, err := cold.AnswerSnapshot(ctx, snap, nil, qs, mode)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !statesEqual(want.Array, oracle) {
+					t.Fatalf("round %d shape %d mode %v: answer diverges from the materialized reference",
+						round, si, mode)
 				}
 				// Twice: the second answer must hit the warm caches.
 				for rep := 0; rep < 2; rep++ {
@@ -120,7 +158,7 @@ func TestFastPathByteIdenticalAcrossEpochsAndShapes(t *testing.T) {
 			}
 		}
 		snap.Release()
-		commitBaseChange(t, cl, "A", round)
+		insertBatch(t, m, cl, round, 6)
 	}
 	s := ctrs.Snapshot()
 	if s.ViewHits == 0 || s.MemoHits == 0 || s.SolveSkips == 0 {

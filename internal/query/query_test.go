@@ -2,7 +2,10 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/arrayview/arrayview/internal/array"
@@ -121,9 +124,6 @@ func TestQueryBothPathsMatchReference(t *testing.T) {
 				if !statesEqual(res.Array, want) {
 					t.Fatalf("mode %v diverges from reference", mode)
 				}
-				if res.Ledger == nil {
-					t.Fatal("missing ledger")
-				}
 			}
 		})
 	}
@@ -197,27 +197,53 @@ func TestQueryAutoMatchesDecision(t *testing.T) {
 	}
 }
 
-func TestQueryLeavesLayoutUntouched(t *testing.T) {
-	eng, _ := setup(t, 41, shape.L1(2, 1))
-	cl := eng.Cluster
-	before := make(map[string]int)
-	for _, k := range cl.Catalog().Keys("A") {
-		h, _ := cl.Catalog().Home("A", k)
-		before[string(k)] = h
-	}
-	if _, err := eng.Answer(shape.Linf(2, 1), ForceComplete); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range cl.Catalog().Keys("A") {
-		h, _ := cl.Catalog().Home("A", k)
-		if before[string(k)] != h {
-			t.Fatalf("query moved chunk %v", k)
+// storeKeys lists every chunk resident on every node as "node/array/key".
+func storeKeys(t *testing.T, cl *cluster.Cluster) []string {
+	t.Helper()
+	var keys []string
+	for node := 0; node < cl.NumNodes(); node++ {
+		err := cl.Node(node).Store.EachEncoded(func(name string, key array.ChunkKey, _ []byte, _ uint64) error {
+			keys = append(keys, fmt.Sprintf("%d/%s/%s", node, name, key))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// No scratch replicas should remain resident off-home.
-		for node := 0; node < cl.NumNodes(); node++ {
-			if node != h && cl.Node(node).Store.Has("A", k) {
-				t.Fatalf("scratch replica of %v left on node %d", k, node)
-			}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestQueryLeavesLayoutUntouched: an answer is a pure read under every mode,
+// with or without epochs. No scratch array appears, no chunk moves, and a
+// cluster whose epochs are off keeps them off without publishing.
+func TestQueryLeavesLayoutUntouched(t *testing.T) {
+	for _, epochs := range []bool{false, true} {
+		for mode, name := range map[Mode]string{Auto: "auto", ForceView: "view", ForceComplete: "complete"} {
+			t.Run(fmt.Sprintf("epochs=%v/%s", epochs, name), func(t *testing.T) {
+				eng, _ := setup(t, 41, shape.L1(2, 1))
+				cl := eng.Cluster
+				es := cl.Epochs()
+				if epochs {
+					es.Enable()
+				}
+				before, epoch := storeKeys(t, cl), es.Current()
+				if _, err := eng.Answer(shape.Linf(2, 1), mode); err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range cl.Catalog().Names() {
+					if strings.Contains(name, "#") {
+						t.Errorf("query left scratch array %q in the catalog", name)
+					}
+				}
+				if after := storeKeys(t, cl); !slices.Equal(before, after) {
+					t.Errorf("query changed the node stores:\nbefore %v\nafter  %v", before, after)
+				}
+				if !epochs && (es.Enabled() || es.Current() != epoch) {
+					t.Errorf("query on an epochs-off cluster: enabled=%v current=%d, want false %d",
+						es.Enabled(), es.Current(), epoch)
+				}
+			})
 		}
 	}
 }

@@ -72,6 +72,9 @@ func (c *Client) Query(queryShape *shape.Shape, mode query.Mode) (*QueryResult, 
 		if err != nil {
 			return nil, err
 		}
+		if err := c.schema.CheckChunk(ch); err != nil {
+			return nil, fmt.Errorf("serve: query reply: %w", err)
+		}
 		out.PutChunk(ch)
 	}
 	return &QueryResult{Epoch: resp.Epoch, UseView: resp.Flag, Array: out}, nil

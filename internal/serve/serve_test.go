@@ -2,10 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sort"
 	"testing"
 	"time"
@@ -402,5 +404,86 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 
 	if _, err := decodeStats([]byte("not a document")); err == nil {
 		t.Fatal("garbage stats document decoded")
+	}
+}
+
+// replyWith serves query replies carrying the given encoded chunks on a
+// loopback listener, whatever the request, and returns its address.
+func replyWith(t *testing.T, chunks ...[]byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					if _, err := transport.ReadMessage(conn); err != nil {
+						return
+					}
+					reply := &transport.Message{Type: transport.MsgQueryResult, Epoch: 1, Chunks: chunks}
+					if err := transport.WriteMessage(conn, reply); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientRejectsMisfitChunks: a reply chunk that decodes but does not fit
+// the view schema fails the query instead of landing in the answer.
+func TestClientRejectsMisfitChunks(t *testing.T) {
+	eng, _, _ := testEngine(t, 3, shape.Linf(2, 1))
+	vs := eng.Def.Schema()
+	oneCell := func(s *array.Schema, cc array.ChunkCoord) []byte {
+		c := array.NewChunk(s, cc)
+		if err := c.Set(c.Region().Lo, make(array.Tuple, s.NumAttrs())); err != nil {
+			t.Fatal(err)
+		}
+		return array.EncodeChunk(c)
+	}
+	oneDim := array.MustSchema(vs.Name, vs.Dims[:1], vs.Attrs)
+	oneAttr := array.MustSchema(vs.Name, vs.Dims, vs.Attrs[:1])
+	dims := append([]array.Dimension(nil), vs.Dims...)
+	dims[1].ChunkSize++
+	regrid := array.MustSchema(vs.Name, dims, vs.Attrs)
+	offsetPast := oneCell(vs, array.ChunkCoord{0, 0})
+	cell := 8 + 8*vs.NumAttrs()
+	binary.BigEndian.PutUint64(offsetPast[len(offsetPast)-cell:], uint64(vs.ChunkRegion(array.ChunkCoord{0, 0}).Size()))
+
+	ask := func(enc []byte) error {
+		c, err := NewClient(replyWith(t, enc), vs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_, err = c.Query(shape.Linf(2, 1), query.Auto)
+		return err
+	}
+	if err := ask(oneCell(vs, array.ChunkCoord{1, 2})); err != nil {
+		t.Fatalf("fitting chunk rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"dimensionality", oneCell(oneDim, array.ChunkCoord{0})},
+		{"attribute count", oneCell(oneAttr, array.ChunkCoord{0, 0})},
+		{"region", oneCell(regrid, array.ChunkCoord{0, 1})},
+		{"coordinate off the grid", oneCell(vs, array.ChunkCoord{-1, 0})},
+		{"cell offset past the region", offsetPast},
+	} {
+		if err := ask(tc.enc); err == nil {
+			t.Errorf("%s: misfit chunk accepted", tc.name)
+		}
 	}
 }
