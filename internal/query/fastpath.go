@@ -23,7 +23,8 @@ const maxDecideEntries = 256
 // FastPath carries the serving-path accelerators of one engine: the
 // epoch-keyed assembled-view cache, the shape-keyed decision/plan memo, the
 // chunk-pair memo, and the join worker pool width. All members are safe for
-// concurrent use; a nil *FastPath disables every layer.
+// concurrent use; a nil *FastPath disables every cache and memo and leaves
+// the join at its default width.
 type FastPath struct {
 	// Views caches decoded assembled views per (view, epoch). Nil disables
 	// view caching while keeping the memos.
@@ -73,11 +74,11 @@ type pairMemoKey struct {
 	fp    string
 }
 
+// workers is the snapshot-join fan-out width. Without a fast path the join
+// still fans out at GOMAXPROCS: the parallel kernel is bitwise identical to
+// the serial one, so width is a speed choice only.
 func (f *FastPath) workers() int {
-	if f == nil {
-		return 1
-	}
-	if f.JoinWorkers > 0 {
+	if f != nil && f.JoinWorkers > 0 {
 		return f.JoinWorkers
 	}
 	return runtime.GOMAXPROCS(0)
