@@ -185,9 +185,9 @@ func run(cfg engine.Config, spec bench.Spec, interval time.Duration, maxBatches 
 	fmt.Printf("final: epoch=%d queries=%d rejected=%d cache-hit-rate=%.2f retained=%dB\n",
 		st.Epoch, st.Queries, st.Rejected, st.HitRate(), st.RetainedBytes)
 	if fp := st.FastPath; fp.ViewHits+fp.ViewMisses+fp.MemoHits+fp.MemoMisses > 0 {
-		fmt.Printf("fast path: view=%d/%d hits/misses (%dB cached, %d evicted, %d invalidated) memo=%d/%d solves-skipped=%d\n",
+		fmt.Printf("fast path: view=%d/%d hits/misses (%dB cached, %d evicted, %d invalidated) memo=%d/%d\n",
 			fp.ViewHits, fp.ViewMisses, fp.ViewBytes, fp.ViewEvictions, fp.ViewInvalidations,
-			fp.MemoHits, fp.MemoMisses, fp.SolveSkips)
+			fp.MemoHits, fp.MemoMisses)
 	}
 	if h.Durable() != nil {
 		d := st.Durable

@@ -98,9 +98,9 @@ func runClient(spec bench.Spec, addr, querySpec, qmode string, stats bool) error
 		fmt.Printf("durable: commits=%d rollbacks=%d checkpoints=%d wal=%d bytes seg=%d bytes fsyncs=%d\n",
 			d.Commits, d.Rollbacks, d.Checkpoints, d.WALBytes, d.SegBytes, d.Syncs)
 		fp := st.FastPath
-		fmt.Printf("fast path: view=%d/%d hits/misses resident=%d bytes evicted=%d invalidated=%d memo=%d/%d hits/misses solves-skipped=%d\n",
+		fmt.Printf("fast path: view=%d/%d hits/misses resident=%d bytes evicted=%d invalidated=%d memo=%d/%d hits/misses\n",
 			fp.ViewHits, fp.ViewMisses, fp.ViewBytes, fp.ViewEvictions,
-			fp.ViewInvalidations, fp.MemoHits, fp.MemoMisses, fp.SolveSkips)
+			fp.ViewInvalidations, fp.MemoHits, fp.MemoMisses)
 	}
 	if querySpec == "" {
 		if !stats {

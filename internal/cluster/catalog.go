@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/arrayview/arrayview/internal/array"
 )
@@ -57,24 +56,11 @@ func newArrayMeta(s *array.Schema) *ArrayMeta {
 type Catalog struct {
 	mu     sync.RWMutex
 	arrays map[string]*ArrayMeta
-	// layout counts catalog mutations: every operation that can change what
-	// a placement solve or pair enumeration would see (chunk set, homes,
-	// sizes, replicas, restores) bumps it. Plan memos key on the value, so
-	// a stale plan can never be served after the layout moves.
-	layout atomic.Uint64
 	// pending is the adaptive path's pending-delta log (see pending.go),
 	// created lazily by Pending(). It has its own lock; the catalog only
 	// guards the pointer.
 	pending *PendingLog
 }
-
-// LayoutVersion returns the current mutation counter. Two calls returning
-// the same value bracket a window with no catalog mutations, which is what
-// makes a layout-keyed plan memo sound.
-func (c *Catalog) LayoutVersion() uint64 { return c.layout.Load() }
-
-// bumpLayout advances the mutation counter; called by every mutator.
-func (c *Catalog) bumpLayout() { c.layout.Add(1) }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
@@ -90,7 +76,6 @@ func (c *Catalog) Register(s *array.Schema) error {
 		return fmt.Errorf("cluster: array %q already registered", s.Name)
 	}
 	c.arrays[s.Name] = newArrayMeta(s)
-	c.bumpLayout()
 	return nil
 }
 
@@ -99,7 +84,6 @@ func (c *Catalog) Drop(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.arrays, name)
-	c.bumpLayout()
 }
 
 // Schema returns the schema of the named array, or nil.
@@ -141,7 +125,6 @@ func (c *Catalog) SetChunk(name string, key array.ChunkKey, home int, size int64
 	m.Replicas[key] = map[int]bool{home: true}
 	delete(m.Hash, key)
 	delete(m.EncSize, key)
-	c.bumpLayout()
 	return nil
 }
 
@@ -158,7 +141,6 @@ func (c *Catalog) SetChunkHash(name string, key array.ChunkKey, hash uint64, enc
 	}
 	m.Hash[key] = hash
 	m.EncSize[key] = encSize
-	c.bumpLayout()
 	return nil
 }
 
@@ -232,7 +214,6 @@ func (c *Catalog) SetChunkBBox(name string, key array.ChunkKey, bb array.Region)
 		return err
 	}
 	m.BBox[key] = bb.Clone()
-	c.bumpLayout()
 	return nil
 }
 
@@ -262,7 +243,6 @@ func (c *Catalog) AddReplica(name string, key array.ChunkKey, node int) error {
 		m.Replicas[key] = reps
 	}
 	reps[node] = true
-	c.bumpLayout()
 	return nil
 }
 
@@ -277,7 +257,6 @@ func (c *Catalog) RemoveReplica(name string, key array.ChunkKey, node int) {
 		return
 	}
 	delete(m.Replicas[key], node)
-	c.bumpLayout()
 }
 
 // HasReplica reports whether node holds a copy of the chunk (the home node
@@ -327,7 +306,6 @@ func (c *Catalog) DropChunk(name string, key array.ChunkKey) {
 	delete(m.BBox, key)
 	delete(m.Hash, key)
 	delete(m.EncSize, key)
-	c.bumpLayout()
 }
 
 // Rehome changes the home node of a chunk. The new home must already hold a
@@ -351,7 +329,6 @@ func (c *Catalog) Rehome(name string, key array.ChunkKey, node int, requireRepli
 		m.Replicas[key] = make(map[int]bool)
 	}
 	m.Replicas[key][node] = true
-	c.bumpLayout()
 	return nil
 }
 
@@ -371,7 +348,6 @@ func (c *Catalog) ClearReplicas(name string) {
 		}
 		m.Replicas[key] = map[int]bool{m.Home[key]: true}
 	}
-	c.bumpLayout()
 }
 
 // SnapshotMeta deep-copies the catalog entry of one array, for restoration
@@ -396,7 +372,6 @@ func (c *Catalog) RestoreMeta(name string, m *ArrayMeta) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.arrays[name] = copyArrayMeta(m)
-	c.bumpLayout()
 }
 
 // chunkMetaSnap is the pre-batch catalog entry of one chunk, or its
@@ -515,7 +490,6 @@ func (c *Catalog) RestoreMetaScoped(p *MetaPatch) {
 			delete(m.EncSize, k)
 		}
 	}
-	c.bumpLayout()
 }
 
 func copyArrayMeta(m *ArrayMeta) *ArrayMeta {

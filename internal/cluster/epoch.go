@@ -348,6 +348,20 @@ func (s *Snapshot) ChunkMeta(name string, key array.ChunkKey) (home int, size in
 	return home, m.Size[key], m.Cells[key], ok
 }
 
+// Bytes returns the summed pinned size (B_q) of an array's chunks, 0 for an
+// array not in the snapshot.
+func (s *Snapshot) Bytes(name string) int64 {
+	m, ok := s.metas[name]
+	if !ok {
+		return 0
+	}
+	var n int64
+	for _, size := range m.Size {
+		n += size
+	}
+	return n
+}
+
 // ChunkHash returns the pinned content hash of one chunk, when the epoch's
 // catalog copy knew it. Chunks touched by the publishing commit have no
 // hash (SetChunk drops it); untouched chunks keep theirs, and those are

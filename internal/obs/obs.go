@@ -175,18 +175,16 @@ func (d *DurableCounters) Snapshot() DurableSnapshot {
 }
 
 // FastPathCounters is the observability surface of the query answer fast
-// path: the epoch-keyed assembled-view cache, the shape-keyed plan memo,
-// and the placement solves both let the server skip. ViewBytes is a gauge
-// (Store); the rest accumulate (Add).
+// path: the epoch-keyed assembled-view cache and the Δ-shape and chunk-pair
+// memos. ViewBytes is a gauge (Store); the rest accumulate (Add).
 type FastPathCounters struct {
 	ViewHits          Counter // answers served from a cached assembled view
 	ViewMisses        Counter // answers that had to gather + decode the view
 	ViewBytes         Counter // gauge: bytes currently pinned by cached views
 	ViewEvictions     Counter // cached views dropped for capacity
 	ViewInvalidations Counter // cached views dropped by an epoch publish
-	MemoHits          Counter // plan/decision memo hits (shape fingerprint)
-	MemoMisses        Counter // plan/decision memo misses
-	SolveSkips        Counter // placement solves skipped thanks to the memo
+	MemoHits          Counter // Δ-shape and chunk-pair memo hits
+	MemoMisses        Counter // Δ-shape and chunk-pair memo misses
 }
 
 // FastPathSnapshot is a point-in-time copy of FastPathCounters.
@@ -198,7 +196,10 @@ type FastPathSnapshot struct {
 	ViewInvalidations int64
 	MemoHits          int64
 	MemoMisses        int64
-	SolveSkips        int64
+	// SolveSkips is always 0: a query decision runs no placement solve to
+	// skip. The benchmark still reads it; it goes when ROADMAP item 1
+	// re-bases the benchmark.
+	SolveSkips int64
 }
 
 // Snapshot copies the current values. Nil-safe: a nil receiver (fast path
@@ -215,7 +216,6 @@ func (f *FastPathCounters) Snapshot() FastPathSnapshot {
 		ViewInvalidations: f.ViewInvalidations.Load(),
 		MemoHits:          f.MemoHits.Load(),
 		MemoMisses:        f.MemoMisses.Load(),
-		SolveSkips:        f.SolveSkips.Load(),
 	}
 }
 

@@ -1,10 +1,12 @@
 package query_test
 
-// Golden decisions: the Eq. 3 verdict and both plan costs, to the last bit,
+// Golden decisions: the Eq. 3 verdict and both path costs, to the last bit,
 // for the query shapes of internal/bench/servemix.go over the SmallSpec
-// PTF-5 cluster — at the static layout and again after reassign has moved
-// chunks. Each Auto decision runs six greedy solves, so a planner rewrite
-// that claims bit-identical plans must reproduce this file byte for byte.
+// PTF-5 cluster — as loaded, and again after two maintained batches have
+// grown the chunks. Each Auto decision sums the Δ and query chunk pairs of
+// a snapshot on a one-node ledger, so a rewrite of the pair enumeration or
+// the pricing that claims bit-identical decisions must reproduce this file
+// byte for byte.
 //
 //	go test ./internal/query -run TestGoldenDecisions -update
 

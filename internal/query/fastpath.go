@@ -1,50 +1,45 @@
 package query
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync"
 
-	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/cluster"
 	"github.com/arrayview/arrayview/internal/obs"
 	"github.com/arrayview/arrayview/internal/shape"
 )
 
-// solvesPerDecision is how many placement solves one Auto decision costs
-// without the memo: planViewPath prices both differential variants and
-// DecideCtx prices the complete path, each a full planner run.
-const solvesPerDecision = 3
-
-// maxDecideEntries bounds the decision memo. Entries are tiny (a few shapes
-// and floats), so the cap only guards against a workload that never repeats
-// a shape; eviction is FIFO.
+// maxDecideEntries bounds the Δ memo against a workload that never repeats
+// a shape; eviction is FIFO. An entry is one Δ shape, 8 bytes per offset
+// component: about 27 KB for the 1,120-offset Δ of a PTF-5 query.
 const maxDecideEntries = 256
 
 // FastPath carries the serving-path accelerators of one engine: the
-// epoch-keyed assembled-view cache, the shape-keyed decision/plan memo, the
-// chunk-pair memo, and the join worker pool width. All members are safe for
+// epoch-keyed assembled-view cache, the shape-keyed Δ memo, the chunk-pair
+// memo, and the join worker pool width. All members are safe for
 // concurrent use; a nil *FastPath disables every cache and memo and leaves
 // the join at its default width.
 type FastPath struct {
 	// Views caches decoded assembled views per (view, epoch). Nil disables
 	// view caching while keeping the memos.
 	Views *cluster.ViewCache
-	// Counters receives hit/miss/skip accounting; nil disables counting.
+	// Counters receives hit/miss accounting; nil disables counting.
 	Counters *obs.FastPathCounters
 	// JoinWorkers is the snapshot-join fan-out width; <= 0 means GOMAXPROCS,
 	// 1 forces the serial kernel.
 	JoinWorkers int
 
 	mu sync.Mutex
-	// decide memoizes per query-shape fingerprint the layout-independent
-	// delta decomposition and, layout-versioned, the two plan costs.
+	// decide memoizes the Δ decomposition per query-shape fingerprint.
 	decide      map[string]*decideEntry
 	decideOrder []string
-	// pairs memoizes the snapshot join's chunk-pair enumeration per
-	// (epoch, join-shape fingerprint). Two generations: inserting a pair
-	// list for epoch E drops every entry older than E-1, so the memo tracks
-	// the commit frontier without unbounded growth.
-	pairs map[pairMemoKey][][2]array.ChunkKey
+	// pairs memoizes the priced chunk-pair enumeration per (epoch,
+	// join-shape box), so every shape with the same box shares one list.
+	// Two generations: inserting a pair list for epoch E drops every entry
+	// older than E-1, so the memo tracks the commit frontier without
+	// unbounded growth.
+	pairs map[pairMemoKey]*pairList
 }
 
 // NewFastPath returns a fast path with a view cache of the given budget
@@ -56,22 +51,27 @@ func NewFastPath(viewCacheBytes int64, ctrs *obs.FastPathCounters) *FastPath {
 	}
 }
 
-// decideEntry is one memoized decision. The delta decomposition depends
-// only on the view and query shapes, so it survives forever; the plan costs
-// are valid only at the catalog layout version that priced them.
+// decideEntry is one memoized Δ decomposition. It depends only on the view
+// and query shapes, so it survives every epoch.
 type decideEntry struct {
 	delta     *shape.Shape // nil: the query IS the view
 	deltaCard int64
-
-	costsValid   bool
-	layout       uint64
-	viewCost     float64
-	completeCost float64
 }
 
 type pairMemoKey struct {
 	epoch uint64
-	fp    string
+	box   string
+}
+
+// boxKey encodes a shape's inclusive offset box, the only part of a shape
+// the chunk-pair enumeration reads.
+func boxKey(sh *shape.Shape) string {
+	lo, hi := sh.Box()
+	b := make([]byte, 0, 16*len(lo))
+	for _, v := range append(lo, hi...) {
+		b = binary.AppendVarint(b, v)
+	}
+	return string(b)
 }
 
 // workers is the snapshot-join fan-out width. Without a fast path the join
@@ -111,51 +111,30 @@ func (f *FastPath) storeDecide(fp string, e *decideEntry) *decideEntry {
 	return e
 }
 
-// costs returns the memoized plan costs if they were priced at the given
-// layout version.
-func (f *FastPath) costs(e *decideEntry, layout uint64) (viewCost, completeCost float64, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !e.costsValid || e.layout != layout {
-		return 0, 0, false
-	}
-	return e.viewCost, e.completeCost, true
-}
-
-// setCosts records plan costs priced at the given layout version.
-func (f *FastPath) setCosts(e *decideEntry, layout uint64, viewCost, completeCost float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	e.costsValid = true
-	e.layout = layout
-	e.viewCost = viewCost
-	e.completeCost = completeCost
-}
-
-// lookupPairs returns the memoized chunk-pair list of a join shape at an
-// epoch. The returned slice is shared and read-only.
-func (f *FastPath) lookupPairs(epoch uint64, fp string) ([][2]array.ChunkKey, bool) {
-	if f == nil {
-		return nil, false
+// lookupPairs returns the memoized pair list of a join-shape box at an
+// epoch, or nil. The list is shared and read-only.
+func (f *FastPath) lookupPairs(epoch uint64, box string) *pairList {
+	if f == nil || epoch == 0 {
+		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ps, ok := f.pairs[pairMemoKey{epoch, fp}]
-	return ps, ok
+	return f.pairs[pairMemoKey{epoch, box}]
 }
 
-// storePairs records a chunk-pair list and retires entries more than one
-// epoch behind it.
-func (f *FastPath) storePairs(epoch uint64, fp string, ps [][2]array.ChunkKey) {
-	if f == nil {
+// storePairs records a pair list and retires entries more than one epoch
+// behind it. Epoch 0 is an unpinned live view whose chunk set can change
+// under it, so nothing is stored there.
+func (f *FastPath) storePairs(epoch uint64, box string, pl *pairList) {
+	if epoch == 0 {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.pairs == nil {
-		f.pairs = make(map[pairMemoKey][][2]array.ChunkKey)
+		f.pairs = make(map[pairMemoKey]*pairList)
 	}
-	f.pairs[pairMemoKey{epoch, fp}] = ps
+	f.pairs[pairMemoKey{epoch, box}] = pl
 	for k := range f.pairs {
 		if k.epoch+1 < epoch {
 			delete(f.pairs, k)

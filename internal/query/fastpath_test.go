@@ -102,7 +102,8 @@ func insertBatch(t *testing.T, m *maintain.Maintainer, cl *cluster.Cluster, roun
 // epochs committed by real maintenance batches, all three modes — and
 // requires byte-identical answers, each equal to a from-scratch
 // materialization of the query shape over the snapshot's base, plus nonzero
-// cache/memo traffic.
+// cache/memo traffic. A repeated Auto answer must take its Δ shape and both
+// priced pair lists from the memos.
 func TestFastPathByteIdenticalAcrossEpochsAndShapes(t *testing.T) {
 	cold, _ := setup(t, 7, shape.L1(2, 1))
 	cl := cold.Cluster
@@ -121,6 +122,7 @@ func TestFastPathByteIdenticalAcrossEpochsAndShapes(t *testing.T) {
 		shape.L2(2, 2),
 	}
 	ctx := context.Background()
+	pairHits := 0
 	for round := 0; round < 3; round++ {
 		snap, err := cl.Epochs().Acquire()
 		if err != nil {
@@ -143,9 +145,18 @@ func TestFastPathByteIdenticalAcrossEpochsAndShapes(t *testing.T) {
 				}
 				// Twice: the second answer must hit the warm caches.
 				for rep := 0; rep < 2; rep++ {
+					before := ctrs.Snapshot()
 					got, err := fast.AnswerSnapshot(ctx, snap, nil, qs, mode)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if after := ctrs.Snapshot(); rep == 1 && mode == Auto && got.Choice.Delta != nil {
+						// One Δ lookup plus the two pair lists it priced.
+						if after.MemoMisses != before.MemoMisses || after.MemoHits-before.MemoHits != 3 {
+							t.Fatalf("round %d shape %d: repeated Auto answer missed the pair memo: %+v -> %+v",
+								round, si, before, after)
+						}
+						pairHits++
 					}
 					if answerBytes(got.Array) != answerBytes(want.Array) {
 						t.Fatalf("round %d shape %d mode %v rep %d: fast path diverges from cold path",
@@ -161,8 +172,8 @@ func TestFastPathByteIdenticalAcrossEpochsAndShapes(t *testing.T) {
 		insertBatch(t, m, cl, round, 6)
 	}
 	s := ctrs.Snapshot()
-	if s.ViewHits == 0 || s.MemoHits == 0 || s.SolveSkips == 0 {
-		t.Fatalf("fast path never engaged: %+v", s)
+	if s.ViewHits == 0 || s.MemoHits == 0 || pairHits == 0 {
+		t.Fatalf("fast path never engaged (%d pair-memo hits): %+v", pairHits, s)
 	}
 	if s.ViewInvalidations == 0 {
 		t.Fatalf("epoch publishes never invalidated cached views: %+v", s)

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"github.com/arrayview/arrayview/internal/array"
 	"github.com/arrayview/arrayview/internal/cluster"
 	"github.com/arrayview/arrayview/internal/maintain"
+	"github.com/arrayview/arrayview/internal/obs"
 	"github.com/arrayview/arrayview/internal/shape"
 	"github.com/arrayview/arrayview/internal/simjoin"
 	"github.com/arrayview/arrayview/internal/view"
@@ -287,6 +290,63 @@ func TestDeltaSigns(t *testing.T) {
 			if got := ch.signOf(off); got != tc.want {
 				t.Errorf("signOf(%v) = %v, want %v", off, got, tc.want)
 			}
+		}
+	}
+}
+
+// choiceBits renders a decision's exported fields, costs to the last bit.
+func choiceBits(ch Choice) string {
+	return fmt.Sprintf("useView=%v view=%016x complete=%016x delta=%d query=%d",
+		ch.UseView, math.Float64bits(ch.ViewCost), math.Float64bits(ch.CompleteCost),
+		ch.DeltaCard, ch.QueryCard)
+}
+
+// TestQueryDecisionReadsSnapshotEpoch: an Auto decision is priced on the
+// snapshot it answers from. A commit that resizes chunks the query's pairs
+// read must not move the decision of a still-pinned snapshot, with or
+// without the fast path's memos.
+func TestQueryDecisionReadsSnapshotEpoch(t *testing.T) {
+	eng, _ := setup(t, 17, shape.L1(2, 1))
+	cl := eng.Cluster
+	cl.Epochs().Enable()
+	ctx := context.Background()
+	qs := shape.Linf(2, 1)
+	snap, err := cl.Epochs().Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	first, err := eng.AnswerSnapshot(ctx, snap, nil, qs, Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Choice.CompleteCost <= 0 || first.Choice.ViewCost <= 0 {
+		t.Fatalf("unpriced decision: %s", choiceBits(first.Choice))
+	}
+
+	m, err := maintain.NewMaintainer(cl, eng.Def, nil, maintain.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertBatch(t, m, cl, 0, 6)
+	resized := 0
+	for _, k := range snap.Keys("A") {
+		if _, size, _, _ := snap.ChunkMeta("A", k); cl.Catalog().ChunkSize("A", k) != size {
+			resized++
+		}
+	}
+	if resized == 0 {
+		t.Fatal("the commit resized no chunk the query reads")
+	}
+
+	fast := fastEngine(eng, &obs.FastPathCounters{})
+	for i, e := range []*Engine{eng, fast} {
+		again, err := e.AnswerSnapshot(ctx, snap, nil, qs, Auto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := choiceBits(again.Choice), choiceBits(first.Choice); got != want {
+			t.Errorf("engine %d (0 cold, 1 fast): decision on the pinned snapshot moved after a commit:\n  got  %s\n  want %s", i, got, want)
 		}
 	}
 }

@@ -25,21 +25,20 @@ import (
 // Chunk-pair joins fan out across a worker pool either way. With
 // Engine.Fast attached, two caches engage as well: the assembled view comes
 // from the epoch-keyed view cache (shared read-only; this answer's signed
-// merge lands on a copy-on-write overlay), and the Δ decomposition, plan
-// costs and chunk pairs come from the memos. All of it is exact: the result
-// is byte-identical to the cold path's.
+// merge lands on a copy-on-write overlay), and the Δ decomposition and
+// chunk pairs come from the memos. All of it is exact: the result is
+// byte-identical to the cold path's.
 //
-// The cost-model decision under Auto still prices plans against the live
-// catalog — pricing tracks the current layout, while correctness is pinned
-// to the snapshot.
+// The cost-model decision under Auto is priced on the same snapshot, over
+// the chunk pairs the chosen path then joins, so a decision is as pinned to
+// its epoch as the answer it picks.
 func (e *Engine) AnswerSnapshot(ctx context.Context, snap *cluster.Snapshot, rc *cluster.ReadCache, queryShape *shape.Shape, mode Mode) (*Result, error) {
-	ch, err := e.decideForMode(ctx, queryShape, mode)
+	ch, err := e.decideForMode(ctx, snap, queryShape, mode)
 	if err != nil {
 		return nil, err
 	}
 	if !ch.UseView {
-		pred := simjoin.NewPred(queryShape, e.Def.Pred.Mapping)
-		out, err := e.snapshotJoin(ctx, snap, rc, pred, nil)
+		out, err := e.snapshotJoin(ctx, snap, rc, queryShape, ch.pairs, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -55,8 +54,7 @@ func (e *Engine) AnswerSnapshot(ctx context.Context, snap *cluster.Snapshot, rc 
 		// The query IS the view: the assembled view is the whole answer.
 		return &Result{Array: out, Choice: ch}, nil
 	}
-	pred := simjoin.NewPred(ch.Delta, e.Def.Pred.Mapping)
-	diff, err := e.snapshotJoin(ctx, snap, rc, pred, ch.signOf)
+	diff, err := e.snapshotJoin(ctx, snap, rc, ch.Delta, ch.pairs, ch.signOf)
 	if err != nil {
 		return nil, err
 	}
@@ -92,45 +90,46 @@ func (e *Engine) snapshotView(snap *cluster.Snapshot, rc *cluster.ReadCache) (*a
 	return arr, func() {}, nil
 }
 
-// snapshotJoin runs the similarity join over the snapshot's base chunks,
-// accumulating aggregate state into a local result array. The chunk-pair
-// enumeration mirrors fullJoinUnits, but against the snapshot's chunk map
-// and without any placement concern: every pair evaluates here, at the
-// caller.
+// snapshotJoin runs the similarity join of one shape over the snapshot's
+// base chunks, accumulating aggregate state into a local result array.
+// Every pair evaluates here, at the caller. pl is the decision's priced
+// pair list for the shape; nil enumerates it (see snapshotPairs).
 //
 // Each pair is evaluated into its own partial and the partials fold into
 // the result in ascending pair order — on one goroutine or many, the same
 // additions happen in the same order, so the parallel kernel is bitwise
 // identical to the serial one.
-func (e *Engine) snapshotJoin(ctx context.Context, snap *cluster.Snapshot, rc *cluster.ReadCache, pred simjoin.Pred, signOf func(off []int64) float64) (*array.Array, error) {
+func (e *Engine) snapshotJoin(ctx context.Context, snap *cluster.Snapshot, rc *cluster.ReadCache, sh *shape.Shape, pl *pairList, signOf func(off []int64) float64) (*array.Array, error) {
 	def := e.Def
 	baseName := def.Alpha.Name
-	schema := snap.Schema(baseName)
-	if schema == nil {
-		return nil, fmt.Errorf("query: base array %q not in snapshot %d", baseName, snap.Epoch())
+	if pl == nil {
+		var err error
+		if pl, err = e.snapshotPairs(snap, sh); err != nil {
+			return nil, err
+		}
 	}
 	vs := def.Schema()
 	out := array.New(vs)
-
-	pairs := e.snapshotPairs(snap, pred)
+	pairs := pl.pairs
 	if len(pairs) == 0 {
 		return out, nil
 	}
+	pred := simjoin.NewPred(sh, def.Pred.Mapping)
 
 	// Fetch each distinct chunk once, up front. The fetch order is the
 	// first-use order of the serial loop, so the cold path's read pattern
 	// (and read-cache behavior) is unchanged.
-	chunks := make(map[array.ChunkKey]*array.Chunk)
+	chunks := make([]*array.Chunk, len(pl.keys))
 	for _, pr := range pairs {
-		for _, key := range pr {
-			if _, ok := chunks[key]; ok {
+		for _, i := range pr {
+			if chunks[i] != nil {
 				continue
 			}
-			ch, err := snap.CachedChunk(baseName, key, rc)
+			ch, err := snap.CachedChunk(baseName, pl.keys[i], rc)
 			if err != nil {
 				return nil, err
 			}
-			chunks[key] = ch
+			chunks[i] = ch
 		}
 	}
 
@@ -157,7 +156,9 @@ func (e *Engine) snapshotJoin(ctx context.Context, snap *cluster.Snapshot, rc *c
 	// Parallel kernel. Shared chunks must serve concurrent readers, so
 	// every lazy per-chunk cache is built before fan-out.
 	for _, ch := range chunks {
-		ch.Warm()
+		if ch != nil {
+			ch.Warm()
+		}
 	}
 	type pairResult struct {
 		idx  int
@@ -218,45 +219,65 @@ func (e *Engine) snapshotJoin(ctx context.Context, snap *cluster.Snapshot, rc *c
 	return out, nil
 }
 
+// pairList is one join shape's ordered chunk pairs at one snapshot, as
+// index pairs into the snapshot's sorted base keys, with the two byte
+// totals Eq. 3 prices them by: joinBytes is Σ(B_p + B_q) over the pairs and
+// fetchBytes the bytes of the distinct chunks they read.
+type pairList struct {
+	keys                  []array.ChunkKey
+	pairs                 [][2]int32
+	joinBytes, fetchBytes int64
+}
+
 // snapshotPairs enumerates the ordered chunk pairs of the base array that
-// can match under the predicate, in deterministic (sorted-key) order. With
-// a FastPath the list memoizes per (epoch, join-shape fingerprint): the
-// epoch freezes the occupied chunk set, so a hit is exact.
-func (e *Engine) snapshotPairs(snap *cluster.Snapshot, pred simjoin.Pred) [][2]array.ChunkKey {
+// can match under the shape, in deterministic (sorted-key) order, with
+// their sizes at the snapshot's epoch. With a FastPath the list memoizes
+// per (epoch, shape box): the epoch freezes the occupied chunk set and
+// their sizes, and Pred.PairChunks reads only the box, so a hit is exact.
+func (e *Engine) snapshotPairs(snap *cluster.Snapshot, sh *shape.Shape) (*pairList, error) {
 	baseName := e.Def.Alpha.Name
 	schema := snap.Schema(baseName)
+	if schema == nil {
+		return nil, fmt.Errorf("query: base array %q not in snapshot %d", baseName, snap.Epoch())
+	}
 	f := e.Fast
-	fp := ""
+	box := boxKey(sh)
+	if pl := f.lookupPairs(snap.Epoch(), box); pl != nil {
+		f.countMemo(true)
+		return pl, nil
+	}
+	pl := &pairList{keys: snap.Keys(baseName)}
+	slot := make(map[array.ChunkKey]int32, len(pl.keys))
+	sizes := make([]int64, len(pl.keys))
+	for i, k := range pl.keys {
+		slot[k] = int32(i)
+		_, sizes[i], _, _ = snap.ChunkMeta(baseName, k)
+	}
+	pred := simjoin.NewPred(sh, e.Def.Pred.Mapping)
+	fetched := make([]bool, len(pl.keys))
+	for pi, pk := range pl.keys {
+		// ChunksOverlapping yields exactly the chunks whose region meets the
+		// reach region: the pairs Pred.PairChunks admits.
+		for _, cc := range schema.ChunksOverlapping(pred.ReachRegion(schema.ChunkRegion(pk.Coord()))) {
+			qi, ok := slot[cc.Key()]
+			if !ok {
+				continue
+			}
+			pl.pairs = append(pl.pairs, [2]int32{int32(pi), qi})
+			pl.joinBytes += sizes[pi] + sizes[qi]
+			fetched[pi], fetched[qi] = true, true
+		}
+	}
+	for i, ok := range fetched {
+		if ok {
+			pl.fetchBytes += sizes[i]
+		}
+	}
 	if f != nil {
-		if sfp, err := pred.Shape.Fingerprint(); err == nil {
-			fp = sfp
-			if pairs, ok := f.lookupPairs(snap.Epoch(), fp); ok {
-				f.countMemo(true)
-				return pairs
-			}
-		}
-	}
-	var pairs [][2]array.ChunkKey
-	for _, pk := range snap.Keys(baseName) {
-		pr := schema.ChunkRegion(pk.Coord())
-		reach := pred.ReachRegion(pr)
-		for _, cc := range schema.ChunksOverlapping(reach) {
-			qk := cc.Key()
-			if _, _, _, ok := snap.ChunkMeta(baseName, qk); !ok {
-				continue
-			}
-			qr := schema.ChunkRegion(qk.Coord())
-			if !pred.PairChunks(pr, qr) {
-				continue
-			}
-			pairs = append(pairs, [2]array.ChunkKey{pk, qk})
-		}
-	}
-	if f != nil && fp != "" {
 		f.countMemo(false)
-		f.storePairs(snap.Epoch(), fp, pairs)
+		f.storePairs(snap.Epoch(), box, pl)
 	}
-	return pairs
+	return pl, nil
 }
 
 // pairPartial evaluates one chunk pair of the similarity join into a

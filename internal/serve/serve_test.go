@@ -168,7 +168,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// A repeated query must be served warm: either the hot-chunk read cache
-	// (cold daemon) or the query fast path (view cache + plan memo) absorbs
+	// (cold daemon) or the query fast path (view cache + pair memo) absorbs
 	// the repeat without refetching.
 	before, err := c.Stats()
 	if err != nil {
@@ -373,7 +373,7 @@ func TestStatsReplyRoundTrip(t *testing.T) {
 		CacheHits: 4, CacheMisses: 5, CacheBytes: 6, Queries: 8, Rejected: 9,
 		Adaptive: obs.AdaptiveSnapshot{HeavyChunks: 10, PendingCells: 11, MemoMisses: 12},
 		Durable:  obs.DurableSnapshot{Commits: 13, Syncs: 14},
-		FastPath: obs.FastPathSnapshot{ViewHits: 15, SolveSkips: 16},
+		FastPath: obs.FastPathSnapshot{ViewHits: 15, MemoMisses: 16},
 	}
 	doc, err := json.Marshal(want)
 	if err != nil {

@@ -41,7 +41,7 @@ type Config struct {
 	WriteTimeout time.Duration
 	// ViewCacheBytes caps the epoch-keyed assembled-view cache (default
 	// cluster.DefaultViewCacheBytes; negative disables view caching while
-	// keeping the plan memo).
+	// keeping the Δ and pair memos).
 	ViewCacheBytes int64
 	// JoinWorkers is the snapshot-join fan-out width (<= 0 means
 	// GOMAXPROCS, 1 forces the serial kernel).

@@ -3,25 +3,27 @@ package shape
 import "testing"
 
 func TestFingerprintStableAcrossRebuilds(t *testing.T) {
-	orig := L1(3, 2)
-	fp1, err := orig.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := orig.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := sp.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp2, err := rebuilt.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp1 != fp2 {
-		t.Fatalf("rebuilt shape fingerprints differ: %q vs %q", fp1, fp2)
+	// A Δ records no provenance: its spec is enumerated from its offsets.
+	for _, orig := range []*Shape{L1(3, 2), Delta(L1(2, 1), Linf(2, 2))} {
+		fp1, err := orig.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := orig.Spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuilt, err := sp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp2, err := rebuilt.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp1 != fp2 || !rebuilt.Equal(orig) {
+			t.Fatalf("%s: rebuilt shape differs: %q vs %q", orig.Name(), fp1, fp2)
+		}
 	}
 }
 

@@ -121,6 +121,17 @@ func L2(dims int, r int64) *Shape {
 // FromOffsets builds a shape from an explicit offset list. Offsets are
 // copied; duplicates are tolerated but counted once.
 func FromOffsets(name string, offs [][]int64) (*Shape, error) {
+	s, err := fromOffsets(name, offs)
+	if err != nil {
+		return nil, err
+	}
+	s.spec = &Spec{Kind: SpecOffsets, Name: name, Offsets: cloneOffsets(offs)}
+	return s, nil
+}
+
+// fromOffsets is FromOffsets without the recorded provenance: the offsets
+// are held once, as the packed rows, and Spec enumerates them on demand.
+func fromOffsets(name string, offs [][]int64) (*Shape, error) {
 	if len(offs) == 0 {
 		return nil, fmt.Errorf("shape: %s has no offsets", name)
 	}
@@ -156,7 +167,6 @@ func FromOffsets(name string, offs [][]int64) (*Shape, error) {
 	}
 	s.rule, s.rows = ruleOffsets, rows
 	s.card.Store(int64(len(rows) / d))
-	s.spec = &Spec{Kind: SpecOffsets, Name: name, Offsets: cloneOffsets(offs)}
 	return s, nil
 }
 
@@ -440,7 +450,10 @@ func DeltaChecked(view, query *Shape) (*Shape, error) {
 	if len(offs) == 0 {
 		return nil, nil
 	}
-	out, err := FromOffsets(fmt.Sprintf("delta(%s,%s)", view.name, query.name), offs)
+	// A Δ is derived, never shipped, and is what a query engine memoizes per
+	// query shape: a second copy of its offsets as provenance would triple
+	// a memoized Δ's footprint.
+	out, err := fromOffsets(fmt.Sprintf("delta(%s,%s)", view.name, query.name), offs)
 	if err != nil {
 		panic(err) // unreachable: offs is non-empty and uniform
 	}
