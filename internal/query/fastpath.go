@@ -114,7 +114,7 @@ func (f *FastPath) storeDecide(fp string, e *decideEntry) *decideEntry {
 // lookupPairs returns the memoized pair list of a join-shape box at an
 // epoch, or nil. The list is shared and read-only.
 func (f *FastPath) lookupPairs(epoch uint64, box string) *pairList {
-	if f == nil || epoch == 0 {
+	if f == nil {
 		return nil
 	}
 	f.mu.Lock()

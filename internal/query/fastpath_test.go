@@ -299,3 +299,22 @@ func TestFastPathConcurrentAnswersUnderCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPairMemoSkipsLiveView: with epochs off a snapshot is the unpinned
+// live catalog at epoch 0, whose chunk set the next commit can change, so
+// its pair lists are priced and joined but never memoized.
+func TestPairMemoSkipsLiveView(t *testing.T) {
+	eng, _ := setup(t, 9, shape.L1(2, 1))
+	eng.Fast = NewFastPath(0, nil)
+	eng.Fast.Views = nil
+	res, err := eng.Answer(shape.Linf(2, 1), Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Choice.CompleteCost <= 0 {
+		t.Fatalf("unpriced decision: %+v", res.Choice)
+	}
+	if n := len(eng.Fast.pairs); n != 0 {
+		t.Fatalf("%d pair lists memoized at epoch 0", n)
+	}
+}
