@@ -50,15 +50,28 @@ type Epochs struct {
 	pins    map[uint64]int
 	// retained maps array → chunk key → versions ordered by ascending until.
 	retained map[string]map[array.ChunkKey][]retainedVer
+	// written collects every durable (array, key) passed to Retain since
+	// the last publish; Publish hands it to the new epoch as its write set.
+	written writeSet
+	// writes is the published epoch's write set (see Snapshot.Written); nil
+	// when that epoch does not directly follow a published epoch-1.
+	writes writeSet
+	// published is the last epoch Publish installed (0 before the first).
+	published uint64
 	// hooks run synchronously after each publication (see OnPublish).
 	hooks []func(epoch uint64)
 }
+
+// writeSet maps array → the chunk keys one publish interval wrote or
+// deleted. A published set is never mutated.
+type writeSet map[string]map[array.ChunkKey]struct{}
 
 func newEpochs(cl *Cluster) *Epochs {
 	return &Epochs{
 		cl:       cl,
 		pins:     make(map[uint64]int),
 		retained: make(map[string]map[array.ChunkKey][]retainedVer),
+		written:  make(writeSet),
 	}
 }
 
@@ -99,7 +112,9 @@ func (e *Epochs) durableMetas() map[string]*ArrayMeta {
 // metadata of every durable array becomes the visible chunk map for readers
 // that pin from now on. The committer calls it once after a batch fully
 // commits and once after a rollback completes, so every published epoch
-// describes a consistent (pre- or post-batch) state. No-op while disabled.
+// describes a consistent (pre- or post-batch) state. The keys Retain saw
+// since the previous publish become the new epoch's write set. No-op while
+// disabled.
 func (e *Epochs) Publish() uint64 {
 	if !e.enabled.Load() {
 		return 0
@@ -109,6 +124,12 @@ func (e *Epochs) Publish() uint64 {
 	e.current++
 	epoch := e.current
 	e.metas = metas
+	e.writes = e.written
+	if e.published == 0 || e.published+1 != epoch {
+		e.writes = nil // no epoch-1 for the set to be relative to
+	}
+	e.written = make(writeSet)
+	e.published = epoch
 	e.reclaimLocked()
 	hooks := e.hooks
 	e.mu.Unlock()
@@ -156,18 +177,32 @@ func (e *Epochs) FastForward(epoch uint64) {
 }
 
 // Retain preserves a chunk's pre-image before the committer overwrites or
-// deletes it. The encoding is captured immediately (the committer mutates
-// nothing until after this returns, but the chunk object may be reused).
-// Only the first retention of a (array, chunk) per epoch sticks: later
-// writes in the same batch are overwriting intra-batch state no reader can
-// have seen. No-op while disabled or for scratch arrays.
+// deletes it, and adds the chunk to the next epoch's write set — prev is nil
+// for a write to a slot that held nothing. The encoding is captured
+// immediately (the committer mutates nothing until after this returns, but
+// the chunk object may be reused). Only the first retention of a (array,
+// chunk) per epoch sticks: later writes in the same batch are overwriting
+// intra-batch state no reader can have seen. No-op while disabled or for
+// scratch arrays.
 func (e *Epochs) Retain(name string, key array.ChunkKey, prev *array.Chunk) {
-	if !e.enabled.Load() || !durableName(name) || prev == nil {
+	if !e.enabled.Load() || !durableName(name) {
 		return
 	}
-	enc := array.EncodeChunk(prev)
+	var enc []byte
+	if prev != nil {
+		enc = array.EncodeChunk(prev)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	keys, ok := e.written[name]
+	if !ok {
+		keys = make(map[array.ChunkKey]struct{})
+		e.written[name] = keys
+	}
+	keys[key] = struct{}{}
+	if prev == nil {
+		return
+	}
 	byKey, ok := e.retained[name]
 	if !ok {
 		byKey = make(map[array.ChunkKey][]retainedVer)
@@ -259,7 +294,7 @@ func (e *Epochs) Acquire() (*Snapshot, error) {
 		return nil, fmt.Errorf("cluster: no epoch published yet")
 	}
 	e.pins[e.current]++
-	return &Snapshot{es: e, epoch: e.current, metas: e.metas}, nil
+	return &Snapshot{es: e, epoch: e.current, metas: e.metas, writes: e.writes}, nil
 }
 
 // Snapshot returns a read view for one query. With epochs on it is a pin of
@@ -282,6 +317,7 @@ type Snapshot struct {
 	es       *Epochs
 	epoch    uint64
 	metas    map[string]*ArrayMeta
+	writes   writeSet
 	released atomic.Bool
 }
 
@@ -336,6 +372,24 @@ func (s *Snapshot) Keys(name string) []array.ChunkKey {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Written returns, sorted, the chunks of an array that the commit (or
+// rollback) published as this snapshot's epoch wrote or deleted: every key
+// the committer passed to Retain since epoch-1 was published. Every content
+// change reaches Retain, so a chunk outside the set holds the same content
+// at epoch-1 and at this epoch. ok is false when the epoch does not directly
+// follow a published epoch-1 — the first epoch, the first after
+// FastForward, or an unpinned live view — and no such set exists.
+func (s *Snapshot) Written(name string) (keys []array.ChunkKey, ok bool) {
+	if s.writes == nil {
+		return nil, false
+	}
+	for k := range s.writes[name] {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys, true
 }
 
 // ChunkMeta returns the pinned (home, size, cells) of one chunk.

@@ -197,3 +197,59 @@ func TestEpochDisabledIsFree(t *testing.T) {
 		t.Fatalf("disabled manager retained %d versions", st.RetainedVers)
 	}
 }
+
+// A published epoch's write set is every durable key Retain saw since the
+// previous publish — a write into an empty slot included, scratch arrays
+// excluded — and exists only for an epoch that directly follows epoch-1.
+func TestEpochWriteSet(t *testing.T) {
+	cl, a := epochCluster(t)
+	es := cl.Epochs()
+	first, err := es.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := first.Written("A"); ok {
+		t.Error("the first epoch has no epoch-1 for a write set")
+	}
+	first.Release()
+
+	keys := a.ChunkKeys()
+	es.Retain("A", keys[2], a.ChunkByKey(keys[2]))
+	es.Retain("A", keys[0], nil)
+	es.Retain("A", keys[2], a.ChunkByKey(keys[2]))
+	es.Retain("A#stage", keys[1], nil)
+	es.Publish()
+	snap, err := es.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := snap.Written("A")
+	if want := []array.ChunkKey{keys[0], keys[2]}; !ok || len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("write set = %v (ok=%v), want %v", got, ok, want)
+	}
+	if got, _ := snap.Written("A#stage"); len(got) != 0 {
+		t.Errorf("scratch array in the write set: %v", got)
+	}
+	snap.Release()
+
+	es.Publish()
+	snap, err = es.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := snap.Written("A"); !ok || len(got) != 0 {
+		t.Errorf("publish with no commit: write set %v (ok=%v), want empty", got, ok)
+	}
+	snap.Release()
+
+	es.FastForward(es.Current() + 5)
+	es.Publish()
+	snap, err = es.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	if _, ok := snap.Written("A"); ok {
+		t.Error("an epoch after FastForward has no epoch-1 for a write set")
+	}
+}

@@ -24,7 +24,8 @@ type viewKey struct {
 // viewEntry is one cached assembled view. The builder publishes arr/err and
 // closes ready exactly once; afterwards arr is warmed and never mutated, so
 // any number of concurrent readers may share it (via Array.ShallowClone for
-// paths that need to overlay writes).
+// paths that need to overlay writes). Entries of consecutive epochs share
+// every chunk the commit between them did not write.
 type viewEntry struct {
 	key   viewKey
 	ready chan struct{}
@@ -33,9 +34,10 @@ type viewEntry struct {
 	err   error
 
 	// pins counts readers currently holding the entry (including waiters
-	// blocked on ready). stale marks the entry for removal once pins drains
-	// to zero — set by InvalidateBefore when an epoch publish outruns a
-	// long-running reader.
+	// blocked on ready, and a builder patching from it). stale marks the
+	// entry for removal once pins drains to zero — set when an epoch
+	// publish, or the build of its successor, outruns a long-running
+	// reader.
 	pins  int
 	stale bool
 }
@@ -47,6 +49,14 @@ type viewEntry struct {
 // that epoch. Lookups singleflight: the first reader of a (view, epoch)
 // builds while later readers block on the entry, so a burst of identical
 // queries triggers one gather.
+//
+// The cache is maintained incrementally across commits. An epoch publish
+// keeps each view's entry at the epoch just before it as a patch base, and
+// the first reader at the new epoch builds its entry from that base: it
+// shares every chunk outside the epoch's write set (Snapshot.Written),
+// re-reads only the written or new ones, and then drops the base. Without
+// a base — the first epoch, or two publishes with no read between — the
+// reader gathers every chunk.
 //
 // Entries are refcounted. Capacity eviction and epoch invalidation only
 // drop unpinned entries; a pinned entry marked stale is reclaimed by its
@@ -115,34 +125,114 @@ func (vc *ViewCache) Acquire(name string, snap *Snapshot, rc *ReadCache) (*array
 	}
 	e := &viewEntry{key: k, ready: make(chan struct{}), pins: 1}
 	vc.entries[k] = e
+	base := vc.baseLocked(k, snap)
 	vc.mu.Unlock()
 	if vc.ctrs != nil {
 		vc.ctrs.ViewMisses.Add(1)
 	}
 
-	arr, err := snap.GatherCached(name, rc)
+	arr, patched, err := vc.build(name, snap, rc, base)
+	vc.mu.Lock()
+	if err != nil {
+		e.err = err
+		delete(vc.entries, k)
+	} else {
+		e.arr = arr
+		e.bytes = decodedArrayBytes(arr)
+		vc.bytes += e.bytes
+	}
+	if base != nil {
+		// A base patched from has served its one purpose: only readers
+		// still pinned at its epoch keep it. Unpinning it before the budget
+		// check makes it the first entry capacity eviction may take.
+		base.pins--
+		base.stale = base.stale || patched
+	}
+	vc.evictLocked()
+	if base != nil {
+		vc.reclaimLocked(base)
+	}
+	vc.storeBytesLocked()
+	close(e.ready)
+	vc.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	return arr, func() { vc.release(e) }, nil
+}
+
+// baseLocked returns, pinned, the entry a build of k can patch from: the
+// same view's entry at epoch k.epoch-1, when the snapshot knows the write
+// set between the two epochs. An epoch-0 live view has no write set, and
+// epoch 1 none relative to epoch 0. Caller holds vc.mu.
+func (vc *ViewCache) baseLocked(k viewKey, snap *Snapshot) *viewEntry {
+	if snap.writes == nil {
+		return nil
+	}
+	if _, ok := snap.metas[k.name]; !ok {
+		return nil
+	}
+	base, ok := vc.entries[viewKey{name: k.name, epoch: k.epoch - 1}]
+	if !ok {
+		return nil
+	}
+	base.pins++
+	return base
+}
+
+// build assembles the view at the snapshot's epoch, warmed: patched from
+// base when base (pinned by the caller) is non-nil and built without error,
+// else gathered in full. patched reports the former.
+func (vc *ViewCache) build(name string, snap *Snapshot, rc *ReadCache, base *viewEntry) (arr *array.Array, patched bool, err error) {
+	if base != nil {
+		<-base.ready
+		if base.err == nil {
+			arr, err = patchView(name, snap, rc, base.arr)
+			if err == nil && vc.ctrs != nil {
+				vc.ctrs.ViewPatches.Add(1)
+			}
+			return arr, err == nil, err
+		}
+	}
+	arr, err = snap.GatherCached(name, rc)
 	if err == nil {
 		// Build every lazy per-chunk cache now, while the array is still
 		// private: after ready closes the array serves concurrent readers
 		// and must never be written again.
 		arr.Warm()
 	}
-	vc.mu.Lock()
-	if err != nil {
-		e.err = err
-		delete(vc.entries, k)
-		close(e.ready)
-		vc.mu.Unlock()
-		return nil, nil, err
+	return arr, false, err
+}
+
+// patchView builds the view at the snapshot's epoch from prev, the warmed
+// view at epoch-1. A chunk outside the epoch's write set has the same
+// content at both epochs, so prev's chunk is shared as is; written chunks
+// and chunks prev lacks are re-read and warmed, and keys absent at this
+// epoch are left out. With nothing written and the same chunk count the
+// view is prev itself.
+func patchView(name string, snap *Snapshot, rc *ReadCache, prev *array.Array) (*array.Array, error) {
+	written := snap.writes[name]
+	home := snap.metas[name].Home
+	if len(written) == 0 && len(home) == prev.NumChunks() {
+		return prev, nil
 	}
-	e.arr = arr
-	e.bytes = decodedArrayBytes(arr)
-	vc.bytes += e.bytes
-	vc.evictLocked()
-	vc.storeBytesLocked()
-	close(e.ready)
-	vc.mu.Unlock()
-	return arr, func() { vc.release(e) }, nil
+	out := array.New(snap.Schema(name))
+	for key := range home {
+		if _, w := written[key]; !w {
+			if ch := prev.ChunkByKey(key); ch != nil {
+				out.PutChunk(ch)
+				continue
+			}
+		}
+		ch, err := snap.CachedChunk(name, key, rc)
+		if err != nil {
+			return nil, err
+		}
+		// Warm while the chunk is still private, as a full gather does.
+		ch.Warm()
+		out.PutChunk(ch)
+	}
+	return out, nil
 }
 
 // release drops one pin and reclaims the entry if it went stale while
@@ -150,40 +240,49 @@ func (vc *ViewCache) Acquire(name string, snap *Snapshot, rc *ReadCache) (*array
 func (vc *ViewCache) release(e *viewEntry) {
 	vc.mu.Lock()
 	e.pins--
-	if e.pins <= 0 && e.stale {
-		if cur, ok := vc.entries[e.key]; ok && cur == e {
-			delete(vc.entries, e.key)
-			vc.bytes -= e.bytes
-			vc.storeBytesLocked()
-		}
-	}
+	vc.reclaimLocked(e)
 	vc.mu.Unlock()
 }
 
-// InvalidateBefore drops every cached view whose epoch is older than epoch.
-// Pinned entries are marked stale and reclaimed by their last Release, so a
-// reader mid-answer keeps its (still-correct, epoch-keyed) view while new
-// readers at the fresh epoch rebuild. Wired to Epochs.OnPublish by the
-// serve daemon.
+// reclaimLocked drops a stale entry once nothing pins it. The entry leaves
+// the map, and is counted as invalidated, exactly once: whichever of the
+// epoch publish, the successor's build or the last release finds it
+// unpinned removes it, and an entry already evicted for capacity is not in
+// the map.
+func (vc *ViewCache) reclaimLocked(e *viewEntry) {
+	if e.pins > 0 || !e.stale {
+		return
+	}
+	if cur, ok := vc.entries[e.key]; !ok || cur != e {
+		return
+	}
+	delete(vc.entries, e.key)
+	vc.bytes -= e.bytes
+	if vc.ctrs != nil {
+		vc.ctrs.ViewInvalidations.Add(1)
+	}
+	vc.storeBytesLocked()
+}
+
+// InvalidateBefore drops every cached view whose epoch is older than epoch,
+// except each view's entry at epoch-1: that one stays as the patch base of
+// the first build at epoch (see Acquire) and goes when that build is done,
+// or at the next publish if no reader came. Pinned entries are marked stale
+// and reclaimed by their last Release, so a reader mid-answer keeps its
+// (still-correct, epoch-keyed) view while new readers at the fresh epoch
+// build. Wired to Epochs.OnPublish by the serve daemon.
 func (vc *ViewCache) InvalidateBefore(epoch uint64) {
 	if vc == nil {
 		return
 	}
 	vc.mu.Lock()
 	for k, e := range vc.entries {
-		if k.epoch >= epoch {
+		if k.epoch >= epoch || (k.epoch > 0 && k.epoch+1 == epoch) {
 			continue
 		}
 		e.stale = true
-		if e.pins == 0 {
-			delete(vc.entries, k)
-			vc.bytes -= e.bytes
-			if vc.ctrs != nil {
-				vc.ctrs.ViewInvalidations.Add(1)
-			}
-		}
+		vc.reclaimLocked(e)
 	}
-	vc.storeBytesLocked()
 	vc.mu.Unlock()
 }
 

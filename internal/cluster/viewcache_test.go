@@ -165,3 +165,104 @@ func TestViewCacheEviction(t *testing.T) {
 		t.Fatal("over-budget cache never evicted")
 	}
 }
+
+// acquireView pins the current epoch and acquires the cached view of A
+// there; the returned func releases both.
+func acquireView(t *testing.T, cl *Cluster, vc *ViewCache) (*array.Array, *Snapshot, func()) {
+	t.Helper()
+	snap, err := cl.Epochs().Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, rel, err := vc.Acquire("A", snap, nil)
+	if err != nil {
+		snap.Release()
+		t.Fatal(err)
+	}
+	return arr, snap, func() { rel(); snap.Release() }
+}
+
+// A pinned entry that goes stale is reclaimed by its last release, and that
+// reclaim is counted: every entry dropped for age counts once.
+func TestViewCacheInvalidationCountedOnRelease(t *testing.T) {
+	cl, _ := epochCluster(t)
+	ctrs := &obs.FastPathCounters{}
+	vc := NewViewCache(0, ctrs)
+	cl.Epochs().OnPublish(vc.InvalidateBefore)
+
+	_, _, release := acquireView(t, cl, vc)
+	for i := 0; i < 3; i++ {
+		cl.Epochs().Publish()
+	}
+	if s := ctrs.Snapshot(); s.ViewInvalidations != 0 {
+		t.Fatalf("pinned entry counted before its release: %+v", s)
+	}
+	release()
+	if s := ctrs.Snapshot(); s.ViewInvalidations != 1 || vc.Bytes() != 0 {
+		t.Fatalf("after release: invalidations %d, bytes %d; want 1 and 0", s.ViewInvalidations, vc.Bytes())
+	}
+	cl.Epochs().Publish()
+	if s := ctrs.Snapshot(); s.ViewInvalidations != 1 {
+		t.Fatalf("entry counted twice: %d invalidations", s.ViewInvalidations)
+	}
+}
+
+// The entry at epoch E is epoch E-1's with only the written chunks
+// re-read: unwritten chunks are the same objects, a publish with no commit
+// shares the whole array, and a gap of two publishes gathers in full.
+func TestViewCachePatchesFromPreviousEpoch(t *testing.T) {
+	cl, _ := epochCluster(t)
+	ctrs := &obs.FastPathCounters{}
+	vc := NewViewCache(0, ctrs)
+	cl.Epochs().OnPublish(vc.InvalidateBefore)
+
+	v1, _, rel1 := acquireView(t, cl, vc)
+	rel1()
+
+	mod := array.New(fig1Schema())
+	if err := mod.Set(array.Point{1, 2}, array.Tuple{99, 99}); err != nil {
+		t.Fatal(err)
+	}
+	newCh := mod.ChunkByKey(mod.ChunkKeys()[0])
+	overwriteChunk(t, cl, "A", newCh.Key(), newCh)
+
+	v2, snap2, rel2 := acquireView(t, cl, vc)
+	want, err := snap2.Gather("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v2.Equal(want) {
+		t.Fatal("patched view differs from the gathered view")
+	}
+	for _, k := range v2.ChunkKeys() {
+		shared := v2.ChunkByKey(k) == v1.ChunkByKey(k)
+		if shared == (k == newCh.Key()) {
+			t.Errorf("chunk %v: shared=%v, want shared exactly when unwritten", k, shared)
+		}
+	}
+	rel2()
+	if s := ctrs.Snapshot(); s.ViewPatches != 1 || s.ViewMisses != 2 || s.ViewInvalidations != 1 {
+		t.Fatalf("after one patch: %+v", s)
+	}
+
+	cl.Epochs().Publish()
+	v3, _, rel3 := acquireView(t, cl, vc)
+	rel3()
+	if v3 != v2 {
+		t.Error("a publish with no commit should share the previous array")
+	}
+
+	cl.Epochs().Publish()
+	cl.Epochs().Publish()
+	v5, snap5, rel5 := acquireView(t, cl, vc)
+	defer rel5()
+	if want, err := snap5.Gather("A"); err != nil || !v5.Equal(want) {
+		t.Fatalf("gathered view differs (err %v)", err)
+	}
+	if s := ctrs.Snapshot(); s.ViewPatches != 2 || s.ViewMisses != 4 {
+		t.Fatalf("two publishes with no read between must gather in full: %+v", s)
+	}
+	if v5.ChunkByKey(newCh.Key()) == v3.ChunkByKey(newCh.Key()) {
+		t.Error("a full gather shares chunks with an older entry")
+	}
+}

@@ -180,9 +180,10 @@ func (d *DurableCounters) Snapshot() DurableSnapshot {
 type FastPathCounters struct {
 	ViewHits          Counter // answers served from a cached assembled view
 	ViewMisses        Counter // answers that had to gather + decode the view
+	ViewPatches       Counter // misses built from the previous epoch's view
 	ViewBytes         Counter // gauge: bytes currently pinned by cached views
 	ViewEvictions     Counter // cached views dropped for capacity
-	ViewInvalidations Counter // cached views dropped by an epoch publish
+	ViewInvalidations Counter // cached views dropped for age (publish or successor build)
 	MemoHits          Counter // Δ-shape and chunk-pair memo hits
 	MemoMisses        Counter // Δ-shape and chunk-pair memo misses
 }
@@ -191,6 +192,7 @@ type FastPathCounters struct {
 type FastPathSnapshot struct {
 	ViewHits          int64
 	ViewMisses        int64
+	ViewPatches       int64
 	ViewBytes         int64
 	ViewEvictions     int64
 	ViewInvalidations int64
@@ -211,6 +213,7 @@ func (f *FastPathCounters) Snapshot() FastPathSnapshot {
 	return FastPathSnapshot{
 		ViewHits:          f.ViewHits.Load(),
 		ViewMisses:        f.ViewMisses.Load(),
+		ViewPatches:       f.ViewPatches.Load(),
 		ViewBytes:         f.ViewBytes.Load(),
 		ViewEvictions:     f.ViewEvictions.Load(),
 		ViewInvalidations: f.ViewInvalidations.Load(),

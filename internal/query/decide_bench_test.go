@@ -13,8 +13,8 @@ import (
 )
 
 // smallEngine builds the SmallSpec PTF-5 cluster with its view and an
-// engine over it, no fast path attached.
-func smallEngine(b *testing.B) *query.Engine {
+// engine over it, no fast path attached, and returns the generated dataset.
+func smallEngine(b *testing.B) (*query.Engine, *workload.Dataset) {
 	b.Helper()
 	spec := bench.SmallSpec(bench.PTF5, workload.Real)
 	data, err := spec.Generate()
@@ -39,7 +39,7 @@ func smallEngine(b *testing.B) *query.Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return eng
+	return eng, data
 }
 
 // BenchmarkDecideCold times one uncached Auto decision at SmallSpec with no
@@ -47,7 +47,7 @@ func smallEngine(b *testing.B) *query.Engine {
 // enumerations on a fresh snapshot and their Eq. 3 sums — what a never-seen
 // query shape pays before its answer starts.
 func BenchmarkDecideCold(b *testing.B) {
-	eng := smallEngine(b)
+	eng, _ := smallEngine(b)
 	qs, err := coldShape(eng.Def.Pred.Shape.NumDims(), 7)
 	if err != nil {
 		b.Fatal(err)
@@ -69,7 +69,7 @@ func BenchmarkDecideCold(b *testing.B) {
 // shapes at SmallSpec, served as the daemon serves them: epochs on, a fast
 // path with the default view cache, and a read cache.
 func BenchmarkAnswerCold(b *testing.B) {
-	eng := smallEngine(b)
+	eng, _ := smallEngine(b)
 	es := eng.Cluster.Epochs()
 	es.Enable()
 	f := query.NewFastPath(0, &obs.FastPathCounters{})

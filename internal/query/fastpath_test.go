@@ -79,6 +79,14 @@ func commitBaseChange(t testing.TB, cl *cluster.Cluster, name string, round int)
 // the live base, committing (and publishing) a fresh epoch.
 func insertBatch(t *testing.T, m *maintain.Maintainer, cl *cluster.Cluster, round, n int) {
 	t.Helper()
+	if _, err := m.ApplyBatch(freshCells(t, cl, round, n)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// freshCells returns n cells absent from the live base, placed by round.
+func freshCells(t *testing.T, cl *cluster.Cluster, round, n int) *array.Array {
+	t.Helper()
 	base, err := cl.Gather("A")
 	if err != nil {
 		t.Fatal(err)
@@ -92,9 +100,7 @@ func insertBatch(t *testing.T, m *maintain.Maintainer, cl *cluster.Cluster, roun
 			}
 		}
 	}
-	if _, err := m.ApplyBatch(delta); err != nil {
-		t.Fatal(err)
-	}
+	return delta
 }
 
 // TestFastPathByteIdenticalAcrossEpochsAndShapes drives the cached and

@@ -20,8 +20,9 @@ import (
 )
 
 // setup builds a 3-node cluster with a random sparse 2-D array and an
-// L∞(1)-count view over it (the GEO-style configuration).
-func setup(t *testing.T, seed int64, viewShape *shape.Shape) (*Engine, *array.Array) {
+// L∞(1)-count view over it (the GEO-style configuration). opts are applied
+// after the default worker-pool option.
+func setup(t *testing.T, seed int64, viewShape *shape.Shape, opts ...cluster.Option) (*Engine, *array.Array) {
 	t.Helper()
 	schema := array.MustSchema("A",
 		[]array.Dimension{
@@ -34,7 +35,7 @@ func setup(t *testing.T, seed int64, viewShape *shape.Shape) (*Engine, *array.Ar
 	for i := 0; i < 150; i++ {
 		_ = base.Set(array.Point{rng.Int63n(40), rng.Int63n(40)}, array.Tuple{float64(rng.Intn(5) + 1)})
 	}
-	cl, err := cluster.New(3, cluster.WithWorkersPerNode(2))
+	cl, err := cluster.New(3, append([]cluster.Option{cluster.WithWorkersPerNode(2)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,8 +186,8 @@ func NewServer(eng *query.Engine, cfg *Config) *Server {
 	}
 	f.JoinWorkers = s.cfg.JoinWorkers
 	// The daemon serves from a fast-path copy of the engine (its Fresh hook
-	// included); invalidation rides every epoch publish so a cached view
-	// can never cross a commit.
+	// included). Every epoch publish retires older cached views, keeping
+	// the previous epoch's as the patch base of the next build.
 	fe := *eng
 	fe.Fast = f
 	s.eng = &fe
