@@ -52,12 +52,12 @@ type Epochs struct {
 	retained map[string]map[array.ChunkKey][]retainedVer
 	// written collects every durable (array, key) passed to Retain since
 	// the last publish; Publish hands it to the new epoch as its write set.
+	// It is nil before the first publish and after a FastForward, when the
+	// next epoch will have no published epoch-1 to be relative to.
 	written writeSet
 	// writes is the published epoch's write set (see Snapshot.Written); nil
 	// when that epoch does not directly follow a published epoch-1.
 	writes writeSet
-	// published is the last epoch Publish installed (0 before the first).
-	published uint64
 	// hooks run synchronously after each publication (see OnPublish).
 	hooks []func(epoch uint64)
 }
@@ -71,7 +71,6 @@ func newEpochs(cl *Cluster) *Epochs {
 		cl:       cl,
 		pins:     make(map[uint64]int),
 		retained: make(map[string]map[array.ChunkKey][]retainedVer),
-		written:  make(writeSet),
 	}
 }
 
@@ -125,11 +124,7 @@ func (e *Epochs) Publish() uint64 {
 	epoch := e.current
 	e.metas = metas
 	e.writes = e.written
-	if e.published == 0 || e.published+1 != epoch {
-		e.writes = nil // no epoch-1 for the set to be relative to
-	}
 	e.written = make(writeSet)
-	e.published = epoch
 	e.reclaimLocked()
 	hooks := e.hooks
 	e.mu.Unlock()
@@ -167,11 +162,12 @@ func (e *Epochs) Current() uint64 {
 // FastForward raises the epoch counter to at least epoch without
 // publishing. Crash recovery calls it so the first post-restart publish
 // lands above every epoch a pre-crash reader could have pinned; it never
-// lowers the counter.
+// lowers the counter. Raising it leaves the next epoch without a write set.
 func (e *Epochs) FastForward(epoch uint64) {
 	e.mu.Lock()
 	if epoch > e.current {
 		e.current = epoch
+		e.written = nil
 	}
 	e.mu.Unlock()
 }
@@ -194,12 +190,14 @@ func (e *Epochs) Retain(name string, key array.ChunkKey, prev *array.Chunk) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	keys, ok := e.written[name]
-	if !ok {
-		keys = make(map[array.ChunkKey]struct{})
-		e.written[name] = keys
+	if e.written != nil {
+		keys, ok := e.written[name]
+		if !ok {
+			keys = make(map[array.ChunkKey]struct{})
+			e.written[name] = keys
+		}
+		keys[key] = struct{}{}
 	}
-	keys[key] = struct{}{}
 	if prev == nil {
 		return
 	}
@@ -374,22 +372,19 @@ func (s *Snapshot) Keys(name string) []array.ChunkKey {
 	return out
 }
 
-// Written returns, sorted, the chunks of an array that the commit (or
-// rollback) published as this snapshot's epoch wrote or deleted: every key
-// the committer passed to Retain since epoch-1 was published. Every content
+// Written returns the chunks of an array that the commit (or rollback)
+// published as this snapshot's epoch wrote or deleted: every key the
+// committer passed to Retain since epoch-1 was published. Every content
 // change reaches Retain, so a chunk outside the set holds the same content
 // at epoch-1 and at this epoch. ok is false when the epoch does not directly
 // follow a published epoch-1 — the first epoch, the first after
-// FastForward, or an unpinned live view — and no such set exists.
-func (s *Snapshot) Written(name string) (keys []array.ChunkKey, ok bool) {
+// FastForward, or an unpinned live view — and no such set exists. The set
+// is shared: callers must not modify it.
+func (s *Snapshot) Written(name string) (keys map[array.ChunkKey]struct{}, ok bool) {
 	if s.writes == nil {
 		return nil, false
 	}
-	for k := range s.writes[name] {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys, true
+	return s.writes[name], true
 }
 
 // ChunkMeta returns the pinned (home, size, cells) of one chunk.

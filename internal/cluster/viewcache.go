@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -56,7 +57,7 @@ type viewEntry struct {
 // shares every chunk outside the epoch's write set (Snapshot.Written),
 // re-reads only the written or new ones, and then drops the base. Without
 // a base — the first epoch, or two publishes with no read between — the
-// reader gathers every chunk.
+// reader builds from an empty array, so it reads every chunk.
 //
 // Entries are refcounted. Capacity eviction and epoch invalidation only
 // drop unpinned entries; a pinned entry marked stale is reclaimed by its
@@ -166,10 +167,7 @@ func (vc *ViewCache) Acquire(name string, snap *Snapshot, rc *ReadCache) (*array
 // set between the two epochs. An epoch-0 live view has no write set, and
 // epoch 1 none relative to epoch 0. Caller holds vc.mu.
 func (vc *ViewCache) baseLocked(k viewKey, snap *Snapshot) *viewEntry {
-	if snap.writes == nil {
-		return nil
-	}
-	if _, ok := snap.metas[k.name]; !ok {
+	if _, ok := snap.Written(k.name); !ok {
 		return nil
 	}
 	base, ok := vc.entries[viewKey{name: k.name, epoch: k.epoch - 1}]
@@ -182,42 +180,45 @@ func (vc *ViewCache) baseLocked(k viewKey, snap *Snapshot) *viewEntry {
 
 // build assembles the view at the snapshot's epoch, warmed: patched from
 // base when base (pinned by the caller) is non-nil and built without error,
-// else gathered in full. patched reports the former.
+// else from an empty array, which reads every chunk. patched reports the
+// former.
 func (vc *ViewCache) build(name string, snap *Snapshot, rc *ReadCache, base *viewEntry) (arr *array.Array, patched bool, err error) {
+	sch := snap.Schema(name)
+	if sch == nil {
+		return nil, false, fmt.Errorf("cluster: array %q not in snapshot %d", name, snap.Epoch())
+	}
+	prev := array.New(sch)
 	if base != nil {
 		<-base.ready
 		if base.err == nil {
-			arr, err = patchView(name, snap, rc, base.arr)
-			if err == nil && vc.ctrs != nil {
-				vc.ctrs.ViewPatches.Add(1)
-			}
-			return arr, err == nil, err
+			prev, patched = base.arr, true
 		}
 	}
-	arr, err = snap.GatherCached(name, rc)
-	if err == nil {
-		// Build every lazy per-chunk cache now, while the array is still
-		// private: after ready closes the array serves concurrent readers
-		// and must never be written again.
-		arr.Warm()
+	arr, err = patchView(name, snap, rc, prev)
+	if err != nil {
+		return nil, false, err
 	}
-	return arr, false, err
+	if patched && vc.ctrs != nil {
+		vc.ctrs.ViewPatches.Add(1)
+	}
+	return arr, patched, nil
 }
 
 // patchView builds the view at the snapshot's epoch from prev, the warmed
-// view at epoch-1. A chunk outside the epoch's write set has the same
-// content at both epochs, so prev's chunk is shared as is; written chunks
-// and chunks prev lacks are re-read and warmed, and keys absent at this
-// epoch are left out. With nothing written and the same chunk count the
-// view is prev itself.
+// view at epoch-1 (or an empty array, for a full build). A chunk outside
+// the epoch's write set has the same content at both epochs, so prev's
+// chunk is shared as is; written chunks and chunks prev lacks are re-read
+// and warmed, and keys absent at this epoch are left out. With nothing
+// written and the same chunk count the view is prev itself. Chunks are read
+// in key order, the order answers walk them in, so a full build lays them
+// out in memory as they are later read.
 func patchView(name string, snap *Snapshot, rc *ReadCache, prev *array.Array) (*array.Array, error) {
-	written := snap.writes[name]
-	home := snap.metas[name].Home
-	if len(written) == 0 && len(home) == prev.NumChunks() {
+	written, _ := snap.Written(name)
+	if len(written) == 0 && len(snap.metas[name].Home) == prev.NumChunks() {
 		return prev, nil
 	}
 	out := array.New(snap.Schema(name))
-	for key := range home {
+	for _, key := range snap.Keys(name) {
 		if _, w := written[key]; !w {
 			if ch := prev.ChunkByKey(key); ch != nil {
 				out.PutChunk(ch)
@@ -228,7 +229,9 @@ func patchView(name string, snap *Snapshot, rc *ReadCache, prev *array.Array) (*
 		if err != nil {
 			return nil, err
 		}
-		// Warm while the chunk is still private, as a full gather does.
+		// Build every lazy per-chunk cache now, while the chunk is still
+		// private: once the entry is ready it serves concurrent readers
+		// and must never be written again.
 		ch.Warm()
 		out.PutChunk(ch)
 	}

@@ -112,14 +112,10 @@ func (fx *viewPatchFixture) check(t *testing.T, step string, patched bool) *arra
 	if !ok {
 		t.Fatalf("%s: epoch %d has no write set", step, snap.Epoch())
 	}
-	inSet := make(map[array.ChunkKey]bool, len(written))
-	for _, k := range written {
-		inSet[k] = true
-	}
 	wantReads := 0
 	for _, k := range keys {
 		old := fx.prev.ChunkByKey(k)
-		if inSet[k] || old == nil {
+		if _, w := written[k]; w || old == nil {
 			wantReads++
 			continue
 		}
@@ -226,7 +222,7 @@ func TestFastPathViewPatchMatchesGather(t *testing.T) {
 }
 
 // writtenNow returns the write set of the named array at the current epoch.
-func writtenNow(t *testing.T, cl *cluster.Cluster, name string) []array.ChunkKey {
+func writtenNow(t *testing.T, cl *cluster.Cluster, name string) map[array.ChunkKey]struct{} {
 	t.Helper()
 	snap, err := cl.Epochs().Acquire()
 	if err != nil {
