@@ -2,6 +2,7 @@ package array
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -17,11 +18,19 @@ type Array struct {
 	// for arrays that own every chunk, which keeps the ownership check a
 	// nil-map lookup on the hot paths.
 	borrowed map[ChunkKey]bool
+	// keys is the sorted key order IndexKeys keeps for EachChunk and
+	// ChunkKeys; nil when not built or when the chunk set has changed
+	// since. ShallowClone shares it, so it is replaced, never modified.
+	keys []ChunkKey
 }
 
 // New creates an empty array with the given schema.
-func New(s *Schema) *Array {
-	return &Array{schema: s, chunks: make(map[ChunkKey]*Chunk)}
+func New(s *Schema) *Array { return NewSized(s, 0) }
+
+// NewSized is New with room for n chunks, for a caller that knows how many
+// it will put.
+func NewSized(s *Schema, n int) *Array {
+	return &Array{schema: s, chunks: make(map[ChunkKey]*Chunk, n)}
 }
 
 // Schema returns the array's schema.
@@ -51,6 +60,7 @@ func (a *Array) Set(p Point, t Tuple) error {
 	if !ok {
 		c = NewChunk(a.schema, cc)
 		a.chunks[key] = c
+		a.keys = nil
 	} else {
 		c = a.ensureOwned(key)
 	}
@@ -87,6 +97,7 @@ func (a *Array) Delete(p Point) bool {
 	deleted := c.Delete(p)
 	if deleted && c.NumCells() == 0 {
 		delete(a.chunks, key)
+		a.keys = nil
 	}
 	return deleted
 }
@@ -103,6 +114,11 @@ func (a *Array) ChunkByKey(k ChunkKey) *Chunk { return a.chunks[k] }
 // compatible schema slot; callers are trusted on region alignment.
 func (a *Array) PutChunk(c *Chunk) {
 	key := c.Key()
+	if a.keys != nil {
+		if _, ok := a.chunks[key]; !ok {
+			a.keys = nil
+		}
+	}
 	a.chunks[key] = c
 	delete(a.borrowed, key)
 }
@@ -114,6 +130,7 @@ func (a *Array) MergeChunk(src *Chunk) error {
 	c, ok := a.chunks[key]
 	if !ok {
 		a.chunks[key] = src.Clone()
+		a.keys = nil
 		return nil
 	}
 	if a.borrowed[key] {
@@ -124,6 +141,18 @@ func (a *Array) MergeChunk(src *Chunk) error {
 
 // ChunkKeys returns the keys of all occupied chunks in row-major order.
 func (a *Array) ChunkKeys() []ChunkKey {
+	if a.keys != nil {
+		return slices.Clone(a.keys)
+	}
+	return a.sortedKeys()
+}
+
+// IndexKeys builds the sorted key order that EachChunk and ChunkKeys then
+// walk without sorting, kept until the chunk set changes. Call it while
+// the array is private: it writes the array.
+func (a *Array) IndexKeys() { a.keys = a.sortedKeys() }
+
+func (a *Array) sortedKeys() []ChunkKey {
 	keys := make([]ChunkKey, 0, len(a.chunks))
 	for k := range a.chunks {
 		keys = append(keys, k)
@@ -134,7 +163,11 @@ func (a *Array) ChunkKeys() []ChunkKey {
 
 // EachChunk calls fn for every occupied chunk in row-major key order.
 func (a *Array) EachChunk(fn func(c *Chunk) bool) {
-	for _, k := range a.ChunkKeys() {
+	keys := a.keys
+	if keys == nil {
+		keys = a.sortedKeys()
+	}
+	for _, k := range keys {
 		if !fn(a.chunks[k]) {
 			return
 		}
@@ -182,6 +215,7 @@ func (a *Array) ShallowClone() *Array {
 		schema:   a.schema,
 		chunks:   make(map[ChunkKey]*Chunk, len(a.chunks)),
 		borrowed: make(map[ChunkKey]bool, len(a.chunks)),
+		keys:     a.keys,
 	}
 	for k, c := range a.chunks {
 		out.chunks[k] = c
@@ -218,7 +252,8 @@ func (a *Array) EnsureOwned(key ChunkKey) { a.ensureOwned(key) }
 func (a *Array) Owned(key ChunkKey) bool { return !a.borrowed[key] }
 
 // Warm pre-builds every chunk's lazily derived caches (sorted-offset index,
-// coordinate column, bounding box, content hash). A chunk is not safe for concurrent use
+// coordinate column, bounding box, content hash and encoding) and the
+// array's key order. A chunk is not safe for concurrent use
 // because even read-side iteration may build those caches; after Warm, an
 // array that is never mutated again can serve any number of concurrent
 // readers — the property the assembled-view cache relies on to share one
@@ -227,6 +262,7 @@ func (a *Array) Warm() {
 	for _, c := range a.chunks {
 		c.Warm()
 	}
+	a.IndexKeys()
 }
 
 // Equal reports whether two arrays hold identical cells, comparing tuple

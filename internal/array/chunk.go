@@ -1,6 +1,7 @@
 package array
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -41,6 +42,9 @@ type Chunk struct {
 	// cell is overwritten with a new value.
 	hash   uint64
 	hashOK bool
+	// enc is the canonical encoding Warm keeps (see Encoding); valid only
+	// while hashOK is set, and dropped with it.
+	enc []byte
 }
 
 // NewChunk creates an empty chunk covering the slot cc of schema s.
@@ -81,6 +85,14 @@ func (c *Chunk) EncodedSize() int64 {
 	return int64(4+4+8*len(c.coord)*3+4+8) + c.SizeBytes()
 }
 
+// EncodedPayloadSize returns the SizeBytes of the chunk a well-formed ACH1
+// encoding holds, read from its header: the encoding's length less the
+// header's.
+func EncodedPayloadSize(enc []byte) int64 {
+	d := int64(binary.BigEndian.Uint32(enc[4:]))
+	return int64(len(enc)) - (4 + 4 + 8*d*3 + 4 + 8)
+}
+
 // invalidate drops the derived caches. Called by every mutation that
 // changes the set of occupied offsets; overwriting an occupied cell keeps
 // the occupancy caches valid (the content hash is dropped separately,
@@ -89,7 +101,13 @@ func (c *Chunk) invalidate() {
 	c.sorted = nil
 	c.coords = nil
 	c.bboxOK = false
+	c.dropHash()
+}
+
+// dropHash marks the content hash, and the kept encoding, stale.
+func (c *Chunk) dropHash() {
 	c.hashOK = false
+	c.enc = nil
 }
 
 // index returns the sorted-offset index, rebuilding it if stale. The
@@ -170,7 +188,7 @@ func (c *Chunk) Set(p Point, t Tuple) error {
 	}
 	// Every Set changes content (a fresh cell or a new value), so the
 	// content hash goes stale even when the occupancy caches survive.
-	c.hashOK = false
+	c.dropHash()
 	c.cells[off] = t.Clone()
 	return nil
 }
@@ -228,13 +246,26 @@ func (c *Chunk) EachSorted(fn func(p Point, t Tuple) bool) {
 }
 
 // Warm builds every lazily derived cache — the sorted-offset index, the
-// coordinate column, the bounding box, and the content hash — so subsequent
-// reads (iteration, joins, pruning, encoding) mutate nothing. A warmed chunk
+// coordinate column, the bounding box, the content hash, and the canonical
+// encoding it hashes, which Warm keeps for Encoding — so subsequent reads
+// (iteration, joins, pruning, encoding) mutate nothing. A warmed chunk
 // that is never mutated again is safe for concurrent readers.
 func (c *Chunk) Warm() {
 	c.Columns()
 	c.BoundingBox()
-	c.ContentHash()
+	if c.enc == nil {
+		c.enc = EncodeChunk(c)
+		c.hash, c.hashOK = HashChunkBytes(c.enc), true
+	}
+}
+
+// Encoding returns the chunk's canonical ACH1 encoding: the one Warm kept,
+// shared and read-only, or else a fresh EncodeChunk.
+func (c *Chunk) Encoding() []byte {
+	if c.enc != nil {
+		return c.enc
+	}
+	return EncodeChunk(c)
 }
 
 // Clone returns a deep copy of the chunk. Derived caches are not copied;

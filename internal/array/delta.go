@@ -165,7 +165,7 @@ func ApplyDelta(c *Chunk, delta []byte) error {
 		if _, occupied := c.cells[off]; !occupied {
 			c.invalidate()
 		}
-		c.hashOK = false
+		c.dropHash()
 		c.cells[off] = t
 	}
 	for i := uint64(0); i < nx; i++ {

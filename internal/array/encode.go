@@ -102,6 +102,9 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 	}
 	n := int(un)
 	c.cells = make(map[int64]Tuple, n)
+	// One value slab backs every tuple; each tuple's capacity is capped at
+	// its own width, so an append to one cannot reach its neighbour.
+	vals := make([]float64, n*c.nattrs)
 	// EncodeChunk writes offsets strictly ascending, so its payload is the
 	// sorted index already; any other order (or a duplicate) leaves the
 	// index nil for index() to sort the decoded cell set.
@@ -113,7 +116,8 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 		if uint64(off) >= vol {
 			return nil, fmt.Errorf("array: cell offset %d outside chunk region of %d cells", off, vol)
 		}
-		t := make(Tuple, c.nattrs)
+		lo := i * c.nattrs
+		t := Tuple(vals[lo : lo+c.nattrs : lo+c.nattrs])
 		for j := range t {
 			t[j] = math.Float64frombits(r.u64())
 		}
@@ -125,6 +129,25 @@ func DecodeChunk(buf []byte) (*Chunk, error) {
 		c.sorted = offs
 	}
 	return c, r.err
+}
+
+// DecodeWarm decodes buf, whose content hash the caller already holds
+// (hash must equal HashChunkBytes(buf)), and warms the chunk. A canonical
+// buf — every EncodeChunk output is one — becomes the encoding Warm keeps,
+// so the chunk is neither re-encoded nor re-hashed. buf must not be
+// modified afterwards.
+func DecodeWarm(buf []byte, hash uint64) (*Chunk, error) {
+	c, err := DecodeChunk(buf)
+	if err != nil {
+		return nil, err
+	}
+	// Strictly ascending offsets (a built index) and an exact length make
+	// buf byte for byte what EncodeChunk(c) writes.
+	if c.sorted != nil {
+		c.enc, c.hash, c.hashOK = buf, hash, true
+	}
+	c.Warm()
+	return c, nil
 }
 
 // regionVolume is the cell-slot count of a decoded region, whose every

@@ -425,7 +425,7 @@ func (s *Snapshot) ChunkHash(name string, key array.ChunkKey) (uint64, bool) {
 }
 
 // EncodedChunk returns the canonical encoding of a chunk's content as of
-// the snapshot epoch.
+// the snapshot epoch. The slice may be shared and must not be modified.
 func (s *Snapshot) EncodedChunk(name string, key array.ChunkKey) ([]byte, error) {
 	enc, live, err := s.read(name, key)
 	if enc != nil || err != nil {
@@ -435,7 +435,8 @@ func (s *Snapshot) EncodedChunk(name string, key array.ChunkKey) ([]byte, error)
 }
 
 // Chunk returns a chunk's content as of the snapshot epoch, as a private
-// copy. A live read hands back the fabric's decoded chunk as is.
+// copy. A live read through a fabric that decodes hands back the fabric's
+// decoded chunk as is.
 func (s *Snapshot) Chunk(name string, key array.ChunkKey) (*array.Chunk, error) {
 	enc, live, err := s.read(name, key)
 	if enc != nil {
@@ -445,7 +446,8 @@ func (s *Snapshot) Chunk(name string, key array.ChunkKey) (*array.Chunk, error) 
 }
 
 // read returns a chunk's content as of the snapshot epoch: either a retained
-// encoding or, failing that, the live chunk. The read protocol closes the
+// encoding or, failing that, the live chunk, as stored bytes when the fabric
+// hands them over (see readLive) and decoded otherwise. The read protocol closes the
 // race against the single writer, whose order is
 // retain-pre-image-then-overwrite:
 //
@@ -460,24 +462,27 @@ func (s *Snapshot) read(name string, key array.ChunkKey) ([]byte, *array.Chunk, 
 	if enc, ok := s.es.lookupRetained(name, key, s.epoch); ok {
 		return enc, nil, nil
 	}
-	live, liveErr := s.readLive(name, key)
+	liveEnc, live, liveErr := s.readLive(name, key)
 	if enc, ok := s.es.lookupRetained(name, key, s.epoch); ok {
 		return enc, nil, nil
 	}
-	return nil, live, liveErr
+	return liveEnc, live, liveErr
 }
 
 // readLive fetches the live copy of a chunk using the snapshot's pinned
 // home and replica set (the live catalog may have rehomed or dropped the
-// chunk, and those placements mean nothing for this epoch).
-func (s *Snapshot) readLive(name string, key array.ChunkKey) (*array.Chunk, error) {
+// chunk, and those placements mean nothing for this epoch). The in-process
+// fabric hands over the stored encoding, which a reader that wants bytes
+// (a read-cache fill, a view build) then neither decodes nor re-encodes;
+// any other fabric returns the decoded chunk.
+func (s *Snapshot) readLive(name string, key array.ChunkKey) ([]byte, *array.Chunk, error) {
 	m, ok := s.metas[name]
 	if !ok {
-		return nil, fmt.Errorf("cluster: array %q not in snapshot %d", name, s.epoch)
+		return nil, nil, fmt.Errorf("cluster: array %q not in snapshot %d", name, s.epoch)
 	}
 	home, ok := m.Home[key]
 	if !ok {
-		return nil, fmt.Errorf("cluster: chunk %v of %q not in snapshot %d", key, name, s.epoch)
+		return nil, nil, fmt.Errorf("cluster: chunk %v of %q not in snapshot %d", key, name, s.epoch)
 	}
 	cands := []int{home}
 	for n := range m.Replicas[key] {
@@ -487,15 +492,25 @@ func (s *Snapshot) readLive(name string, key array.ChunkKey) (*array.Chunk, erro
 	}
 	sort.Ints(cands[1:])
 	rerr := &ReadError{Array: name, Key: key}
+	lf, local := s.es.cl.fabric.(*LocalFabric)
 	for _, n := range cands {
-		ch, err := s.es.cl.GetAt(n, name, key)
+		var (
+			enc []byte
+			ch  *array.Chunk
+			err error
+		)
+		if local && n != Coordinator {
+			enc, err = lf.GetEncoded(n, name, key)
+		} else {
+			ch, err = s.es.cl.GetAt(n, name, key)
+		}
 		if err == nil {
-			return ch, nil
+			return enc, ch, nil
 		}
 		rerr.Tried = append(rerr.Tried, n)
 		rerr.Err = err
 	}
-	return nil, rerr
+	return nil, nil, rerr
 }
 
 // Gather reconstructs the full logical array as of the snapshot epoch.
@@ -530,21 +545,35 @@ func (s *Snapshot) CachedChunk(name string, key array.ChunkKey, rc *ReadCache) (
 	if rc == nil {
 		return s.Chunk(name, key)
 	}
-	hash, hok := s.ChunkHash(name, key)
-	if !hok {
-		hash, hok = rc.Hint(s.epoch, name, key)
+	enc, _, err := s.cachedEncoding(name, key, rc)
+	if err != nil {
+		return nil, err
 	}
-	if hok {
-		if enc, ok := rc.Lookup(hash); ok {
-			return array.DecodeChunk(enc)
+	return array.DecodeChunk(enc)
+}
+
+// cachedEncoding returns a chunk's encoding at the snapshot epoch and its
+// content hash, through the read cache when rc is non-nil.
+func (s *Snapshot) cachedEncoding(name string, key array.ChunkKey, rc *ReadCache) ([]byte, uint64, error) {
+	if rc != nil {
+		hash, hok := s.ChunkHash(name, key)
+		if !hok {
+			hash, hok = rc.Hint(s.epoch, name, key)
+		}
+		if hok {
+			if enc, ok := rc.Lookup(hash); ok {
+				return enc, hash, nil
+			}
 		}
 	}
 	enc, err := s.EncodedChunk(name, key)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	h := array.HashChunkBytes(enc)
-	rc.Insert(h, enc)
-	rc.SetHint(s.epoch, name, key, h)
-	return array.DecodeChunk(enc)
+	if rc != nil {
+		rc.Insert(h, enc)
+		rc.SetHint(s.epoch, name, key, h)
+	}
+	return enc, h, nil
 }

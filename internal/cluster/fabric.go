@@ -274,6 +274,23 @@ func (f *LocalFabric) Get(node int, arrayName string, key array.ChunkKey) (*arra
 	return ch, nil
 }
 
+// GetEncoded is Get without the decode: it returns the node's stored
+// encoding of the chunk, the store's own read-only buffer, and accounts
+// the read as a Get of the same payload size.
+func (f *LocalFabric) GetEncoded(node int, arrayName string, key array.ChunkKey) ([]byte, error) {
+	s, err := f.store(node)
+	if err != nil {
+		return nil, err
+	}
+	enc, ok := s.GetEncoded(arrayName, key)
+	if !ok {
+		f.net[node].record("Get", 0, 0)
+		return nil, fmt.Errorf("storage: chunk %v of %q not resident", key, arrayName)
+	}
+	f.net[node].record("Get", 0, array.EncodedPayloadSize(enc))
+	return enc, nil
+}
+
 // Has implements Fabric.
 func (f *LocalFabric) Has(node int, arrayName string, key array.ChunkKey) (bool, error) {
 	s, err := f.store(node)

@@ -225,16 +225,22 @@ func patchView(name string, snap *Snapshot, rc *ReadCache, prev *array.Array) (*
 				continue
 			}
 		}
-		ch, err := snap.CachedChunk(name, key, rc)
+		enc, hash, err := snap.cachedEncoding(name, key, rc)
 		if err != nil {
 			return nil, err
 		}
 		// Build every lazy per-chunk cache now, while the chunk is still
 		// private: once the entry is ready it serves concurrent readers
-		// and must never be written again.
-		ch.Warm()
+		// and must never be written again. The bytes just read become
+		// the chunk's kept encoding, which answers ship as they are.
+		ch, err := array.DecodeWarm(enc, hash)
+		if err != nil {
+			return nil, err
+		}
 		out.PutChunk(ch)
 	}
+	// The key order too is built here, not lazily under readers.
+	out.IndexKeys()
 	return out, nil
 }
 

@@ -66,7 +66,7 @@ func (c *Client) Query(queryShape *shape.Shape, mode query.Mode) (*QueryResult, 
 	if resp.Type != transport.MsgQueryResult {
 		return nil, fmt.Errorf("serve: unexpected reply %s", resp.Type)
 	}
-	out := array.New(c.schema)
+	out := array.NewSized(c.schema, len(resp.Chunks))
 	for _, enc := range resp.Chunks {
 		ch, err := array.DecodeChunk(enc)
 		if err != nil {

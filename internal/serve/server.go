@@ -417,12 +417,15 @@ func (s *Server) handleQuery(req *transport.Message) *transport.Message {
 		return errMsg(err)
 	}
 	resp := &transport.Message{
-		Type:  transport.MsgQueryResult,
-		Epoch: epoch,
-		Flag:  res.Choice.UseView,
+		Type:   transport.MsgQueryResult,
+		Epoch:  epoch,
+		Flag:   res.Choice.UseView,
+		Chunks: make([][]byte, 0, res.Array.NumChunks()),
 	}
+	// A chunk shared from the cached view ships the encoding it keeps;
+	// only chunks the answer built are encoded here.
 	res.Array.EachChunk(func(c *array.Chunk) bool {
-		resp.Chunks = append(resp.Chunks, array.EncodeChunk(c))
+		resp.Chunks = append(resp.Chunks, c.Encoding())
 		return true
 	})
 	return resp

@@ -469,8 +469,11 @@ func DecodePayload(t MsgType, payload []byte) (*Message, error) {
 		if r.err == nil && n > len(payload) {
 			return nil, fmt.Errorf("transport: chunk count %d exceeds payload size", n)
 		}
+		// One copy of the payload backs every chunk (each capped at its
+		// own length), instead of one allocation per chunk.
+		r.buf = cloneBytes(r.buf)
 		for i := 0; i < n && r.err == nil; i++ {
-			m.Chunks = append(m.Chunks, cloneBytes(r.bytes()))
+			m.Chunks = append(m.Chunks, r.bytes())
 		}
 	case MsgBoolList:
 		n := int(r.u32())
@@ -490,8 +493,11 @@ func DecodePayload(t MsgType, payload []byte) (*Message, error) {
 		if r.err == nil && n > len(payload) {
 			return nil, fmt.Errorf("transport: chunk count %d exceeds payload size", n)
 		}
+		// One copy of the payload backs every chunk (each capped at its
+		// own length), instead of one allocation per chunk.
+		r.buf = cloneBytes(r.buf)
 		for i := 0; i < n && r.err == nil; i++ {
-			m.Chunks = append(m.Chunks, cloneBytes(r.bytes()))
+			m.Chunks = append(m.Chunks, r.bytes())
 		}
 	default:
 		return nil, fmt.Errorf("transport: unknown message type %d", uint8(t))

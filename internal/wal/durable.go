@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
+	"strings"
 	"sync"
 
 	"github.com/arrayview/arrayview/internal/array"
@@ -29,10 +30,11 @@ const DefaultCompactBytes int64 = 8 << 20
 // attached it journals every durable mutation of every worker store and
 // writes one meta-log barrier per committed (or rolled-back) maintenance
 // batch: fsync segments, fsync journals, then append + fsync a meta record
-// holding the per-journal cut offsets and full catalog/pending snapshots.
-// That single synced record is the atomic commit point — recovery replays
-// each journal exactly to its cut, so a crash anywhere lands on the last
-// barrier's state, never between batches.
+// holding the per-journal cut offsets, the catalog's change since the
+// previous record, and the pending-log snapshot. That single synced record
+// is the atomic commit point — recovery replays each journal exactly to
+// its cut and folds the meta log up to the record, so a crash anywhere
+// lands on the last barrier's state, never between batches.
 //
 // The coordinator's own store is deliberately not journaled: it only ever
 // holds scratch ("#") content — staged deltas and staging namespaces —
@@ -54,6 +56,12 @@ type Durable struct {
 	metaBase int64
 	seq      uint64
 	applied  uint64
+	// cat is the catalog as the records written so far fold to, one
+	// digest per chunk: the next barrier's diff is taken against it. It
+	// advances as soon as a record's bytes are in the log, and never
+	// otherwise, so a record that failed to be written leaves its changes
+	// for the next one.
+	cat catState[uint64]
 	// failed latches the store fail-stop once its on-disk layout may no
 	// longer match what recovery would read — a torn meta append, or any
 	// mid-checkpoint failure (journals already reset to the next
@@ -107,9 +115,9 @@ func Open(fs FS, nodes int, opts Options) (*Durable, *Recovered, error) {
 		}
 		return nil, nil, err
 	}
-	var gen int64
-	if _, err := fmt.Sscanf(string(cur), "gen-%d", &gen); err != nil || gen <= 0 {
-		return nil, nil, fmt.Errorf("wal: malformed CURRENT %q", cur)
+	gen, diffs, err := parseCurrent(cur)
+	if err != nil {
+		return nil, nil, err
 	}
 	dir := fmt.Sprintf("gen-%d", gen)
 
@@ -117,14 +125,10 @@ func Open(fs FS, nodes int, opts Options) (*Durable, *Recovered, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: current generation lost its meta log: %w", err)
 	}
-	var rec *metaRecord
-	frames(metaData, func(payload []byte, _ int64) bool {
-		var m metaRecord
-		if json.Unmarshal(payload, &m) == nil {
-			rec = &m
-		}
-		return true
-	})
+	rec, catalog, err := foldMeta(metaData, diffs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: meta log of %s: %w", dir, err)
+	}
 	if rec == nil {
 		return nil, nil, fmt.Errorf("wal: meta log of %s holds no valid barrier", dir)
 	}
@@ -138,7 +142,7 @@ func Open(fs FS, nodes int, opts Options) (*Durable, *Recovered, error) {
 		Applied: rec.Applied,
 		Epoch:   rec.Epoch,
 		Nodes:   make([]map[string]map[array.ChunkKey][]byte, nodes),
-		catalog: rec.Catalog,
+		catalog: catalog,
 		pending: rec.Pending,
 	}
 	for i := 0; i < nodes; i++ {
@@ -352,7 +356,7 @@ func (d *Durable) barrier(kind string, retire bool) error {
 		Applied: applied,
 		Epoch:   epoch,
 		Cuts:    cuts,
-		Catalog: exportCatalog(d.cl.Catalog()),
+		Diff:    diffCatalog(d.cl.Catalog(), d.cat),
 		Pending: exportPending(d.cl.Catalog()),
 	}
 	if err := d.appendMetaLocked(rec); err != nil {
@@ -381,7 +385,10 @@ func (d *Durable) barrier(kind string, retire bool) error {
 // write latches the store fail-stop (partial frame bytes would corrupt
 // every later append); a failed fsync does not — the bytes are intact,
 // only not yet durable, so the barrier is retryable (mirroring the
-// per-node journal convention).
+// per-node journal convention). The tracked catalog advances once the
+// bytes are written, fsynced or not: the next record chains onto this
+// one either way, since a crash keeps a synced record only with every
+// record before it.
 func (d *Durable) appendMetaLocked(rec metaRecord) error {
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -393,6 +400,11 @@ func (d *Durable) appendMetaLocked(rec metaRecord) error {
 	if err != nil {
 		d.failed = fmt.Errorf("wal: meta log torn at %d: %w", d.metaOff, err)
 		return d.failed
+	}
+	if rec.Diff != nil {
+		_ = d.cat.apply(rec.Diff, (*catChunk).sum) // taken against d.cat: it fits
+	} else {
+		d.cat = stateOf(rec.Catalog, (*catChunk).sum)
 	}
 	if err := d.meta.Sync(); err != nil {
 		return fmt.Errorf("wal: meta fsync: %w", err)
@@ -496,7 +508,7 @@ func (d *Durable) writeCheckpointLocked(epoch uint64) error {
 	if err != nil {
 		return err
 	}
-	if _, err := cur.Write([]byte(dir + "\n")); err != nil {
+	if _, err := cur.Write([]byte(diffFormat + dir + "\n")); err != nil {
 		return err
 	}
 	if err := cur.Sync(); err != nil {
@@ -521,6 +533,23 @@ func (d *Durable) writeCheckpointLocked(epoch uint64) error {
 	d.gen = newGen
 	d.counters.Checkpoints.Add(1)
 	return nil
+}
+
+// diffFormat prefixes CURRENT in a directory whose meta logs hold diff
+// records. Directories written before diffs name their generation as a
+// bare "gen-N", and every record there is full; the parser of that format
+// rejects the prefix, so an older build refuses a newer directory instead
+// of reading a diff record as an empty catalog.
+const diffFormat = "v2 "
+
+// parseCurrent reads the manifest: the live generation, and whether its
+// meta log may hold diff records.
+func parseCurrent(cur []byte) (gen int64, diffs bool, err error) {
+	s, diffs := strings.CutPrefix(string(cur), diffFormat)
+	if _, err := fmt.Sscanf(s, "gen-%d", &gen); err != nil || gen <= 0 {
+		return 0, false, fmt.Errorf("wal: malformed CURRENT %q", cur)
+	}
+	return gen, diffs, nil
 }
 
 // Sync flushes and fsyncs every open log without writing a barrier (the

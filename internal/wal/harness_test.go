@@ -34,7 +34,7 @@ func testPlacement() cluster.Placement {
 	return cluster.RangePlacement{Dim: 1, NumChunks: (testConfig().RaRange + 99) / 100}
 }
 
-func testData(t *testing.T) (*workload.Dataset, *view.Definition) {
+func testData(t testing.TB) (*workload.Dataset, *view.Definition) {
 	t.Helper()
 	cfg := testConfig()
 	data, err := workload.GeneratePTF(cfg, workload.Real)
@@ -50,7 +50,7 @@ func testData(t *testing.T) (*workload.Dataset, *view.Definition) {
 
 // buildCluster loads the base array and materializes the view on a fresh
 // default (in-process stores) cluster.
-func buildCluster(t *testing.T, data *workload.Dataset, def *view.Definition) *cluster.Cluster {
+func buildCluster(t testing.TB, data *workload.Dataset, def *view.Definition) *cluster.Cluster {
 	t.Helper()
 	cl, err := cluster.New(testNodes, cluster.WithWorkersPerNode(2))
 	if err != nil {
@@ -65,7 +65,7 @@ func buildCluster(t *testing.T, data *workload.Dataset, def *view.Definition) *c
 	return cl
 }
 
-func newMaintainer(t *testing.T, cl *cluster.Cluster, def *view.Definition) *maintain.Maintainer {
+func newMaintainer(t testing.TB, cl *cluster.Cluster, def *view.Definition) *maintain.Maintainer {
 	t.Helper()
 	m, err := maintain.NewMaintainer(cl, def, maintain.Strategies()["reassign"], maintain.DefaultParams())
 	if err != nil {

@@ -222,7 +222,7 @@ func replayJournal(walData, segData []byte, cut int64) (map[string]map[array.Chu
 		}
 		switch r.kind {
 		case recPut:
-			if r.off < 0 || r.size < 0 || r.off+r.size > int64(len(segData)) {
+			if r.off < 0 || r.size < 0 || r.size > int64(len(segData))-r.off {
 				replayErr = fmt.Errorf("wal: segment ref %d+%d beyond %d bytes", r.off, r.size, len(segData))
 				return false
 			}

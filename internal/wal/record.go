@@ -92,7 +92,8 @@ func encodeJournalRec(r journalRec) []byte {
 	return buf
 }
 
-// decodeJournalRec parses a journal record payload.
+// decodeJournalRec parses a journal record payload. Only what
+// encodeJournalRec writes decodes: trailing bytes are an error.
 func decodeJournalRec(p []byte) (journalRec, error) {
 	var r journalRec
 	bad := func() (journalRec, error) { return r, fmt.Errorf("wal: malformed journal record (%d bytes)", len(p)) }
@@ -107,6 +108,9 @@ func decodeJournalRec(p []byte) (journalRec, error) {
 	}
 	r.array, p = string(p[:n]), p[n:]
 	if r.kind == recDropArray {
+		if len(p) != 0 {
+			return bad()
+		}
 		return r, nil
 	}
 	if len(p) < 4 {
@@ -119,6 +123,9 @@ func decodeJournalRec(p []byte) (journalRec, error) {
 	}
 	r.key, p = array.ChunkKey(p[:n]), p[n:]
 	if r.kind == recDelete {
+		if len(p) != 0 {
+			return bad()
+		}
 		return r, nil
 	}
 	if r.kind != recPut || len(p) != 24 {
